@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Generic, Hashable, Iterator, TypeVar
 
+from repro import mutation
 from repro.errors import GraphError
 
 __all__ = ["Edge", "OrderedMultiDiGraph"]
@@ -36,18 +37,22 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeT]):
     Nodes may be any hashable objects; parallel edges and self-loops are
     allowed.  All iteration orders are deterministic (insertion order),
     which makes downstream layouts and serializations reproducible.
+    Every structural edit of an observed graph bumps the IR mutation
+    counter (:mod:`repro.mutation`).
     """
 
     def __init__(self) -> None:
         # dict preserves insertion order; values are (in_edges, out_edges).
         self._nodes: dict[NodeT, tuple[list[Edge[NodeT, EdgeT]], list[Edge[NodeT, EdgeT]]]] = {}
         self._edges: list[Edge[NodeT, EdgeT]] = []
+        self._observed = False
 
     # -- nodes ------------------------------------------------------------
     def add_node(self, node: NodeT) -> NodeT:
         """Add *node* (idempotent) and return it."""
         if node not in self._nodes:
             self._nodes[node] = ([], [])
+            mutation.changed(self)
         return node
 
     def remove_node(self, node: NodeT) -> None:
@@ -63,6 +68,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeT]):
         for edge in incident:
             self.remove_edge(edge)
         del self._nodes[node]
+        mutation.changed(self)
 
     def has_node(self, node: NodeT) -> bool:
         return node in self._nodes
@@ -93,6 +99,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeT]):
         self._edges.append(edge)
         self._nodes[dst][0].append(edge)
         self._nodes[src][1].append(edge)
+        mutation.changed(self)
         return edge
 
     def remove_edge(self, edge: Edge[NodeT, EdgeT]) -> None:
@@ -103,6 +110,7 @@ class OrderedMultiDiGraph(Generic[NodeT, EdgeT]):
             raise GraphError(f"edge {edge!r} is not in the graph") from None
         self._nodes[edge.dst][0].remove(edge)
         self._nodes[edge.src][1].remove(edge)
+        mutation.changed(self)
 
     def edges(self) -> list[Edge[NodeT, EdgeT]]:
         """All edges in insertion order."""

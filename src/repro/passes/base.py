@@ -11,8 +11,10 @@ A :class:`PassContext` bundles one analysis question — an SDFG, an
 optional focus state, a symbol environment, and the cache-model
 configuration — and lazily computes the content fingerprints the
 scheduler keys results by.  Fingerprints come from
-:mod:`repro.sdfg.serialize`'s stable hashing, so a context over a mutated
-SDFG can never alias a context over its pre-mutation content.
+:mod:`repro.sdfg.serialize`'s stable hashing, memoized on the graph
+objects until the next IR mutation, so a context over a mutated SDFG can
+never alias a context over its pre-mutation content, and a fresh context
+over an unchanged SDFG re-hashes nothing.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ COMPONENTS = (
 
 
 class PassContext:
-    """One analysis question plus memoized content fingerprints.
+    """One analysis question plus its content components.
 
-    Fingerprint components are computed at most once per context; facades
-    create a fresh context per query, so a mutation of the underlying
-    SDFG (a transform, a descriptor swap) is always observed by the next
-    query's fingerprints.
+    Components are looked up at most once per context; facades create a
+    fresh context per query, so a mutation of the underlying SDFG (a
+    transform, a descriptor swap) is always observed by the next query's
+    fingerprints.  The graph fingerprints themselves are memoized on the
+    SDFG, so fresh contexts over an unchanged graph are cheap.
     """
 
     def __init__(
@@ -82,6 +85,8 @@ class PassContext:
         self.metrics = metrics
         self.created_at = perf_counter()
         self._components: dict[str, Hashable] = {}
+        #: Pipeline keys already derived from this context, by product.
+        self.keys: dict[str, tuple] = {}
 
     def require_env(self, pass_name: str) -> dict[str, int]:
         if self.env is None:
@@ -93,27 +98,10 @@ class PassContext:
 
     def component(self, name: str) -> Hashable:
         """The named content component, computed lazily and memoized."""
-        try:
+        if name in self._components:
             return self._components[name]
-        except KeyError:
-            pass
-        value = self._compute_component(name)
-        self._components[name] = value
+        value = self._components[name] = self._compute_component(name)
         return value
-
-    def adopt_components(self, other: "PassContext") -> None:
-        """Share *other*'s already-computed graph fingerprints.
-
-        Valid only when both contexts view the same SDFG under the same
-        configuration and differ at most in their symbol environment —
-        the parameter-sweep case, where fingerprinting the graph once
-        per point would be pure waste.  Environment-dependent entries
-        (``env`` and the per-context key memo) are never copied.
-        """
-        for name, value in other._components.items():
-            if name in ("env", "__keys__"):
-                continue
-            self._components.setdefault(name, value)
 
     def _compute_component(self, name: str) -> Hashable:
         if name == "scope":

@@ -7,11 +7,18 @@ passes depend only on graph content, so slider moves (a new symbol
 environment) re-run *only* the cheap evaluation passes; conversely, a
 transform invalidates the symbolic passes but an unchanged environment
 lets the evaluation passes reuse their own key structure.
+
+Per-edge and per-node products are keyed by ``(state name, state-local
+edge or node index)``, never by the live graph objects: a product served
+from the persistent cache tier in another process must still address the
+live graph (:class:`~repro.tool.session.GlobalView` maps the indices back).
+Both the name and the index order are part of the state fingerprint the
+products are keyed by.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Hashable, Mapping, Sequence
 
 from repro.analysis.intensity import scope_intensities
 from repro.analysis.movement import edge_movement_bytes, total_movement_bytes
@@ -32,6 +39,18 @@ __all__ = [
 ]
 
 
+def _states(ctx: PassContext) -> list:
+    return [ctx.state] if ctx.state is not None else ctx.sdfg.states()
+
+
+def _by_index(
+    state, values: Mapping[Hashable, Any], elements: Sequence
+) -> dict[tuple[str, int], Any]:
+    """Re-key *values* (keyed by members of *elements*) by position."""
+    position = {element: index for index, element in enumerate(elements)}
+    return {(state.name, position[key]): value for key, value in values.items()}
+
+
 class MovementPass(Pass):
     """Symbolic per-edge movement volumes, in both counting modes.
 
@@ -45,10 +64,14 @@ class MovementPass(Pass):
     uses = ("scope", "state", "arrays.logical")
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> Any:
-        return {
-            "unique": edge_movement_bytes(ctx.sdfg, ctx.state, unique=True),
-            "counted": edge_movement_bytes(ctx.sdfg, ctx.state, unique=False),
-        }
+        out: dict[str, dict] = {"unique": {}, "counted": {}}
+        for state in _states(ctx):
+            edges = state.edges()
+            for mode, unique in (("unique", True), ("counted", False)):
+                out[mode].update(_by_index(
+                    state, edge_movement_bytes(ctx.sdfg, state, unique=unique), edges
+                ))
+        return out
 
 
 class OpCountPass(Pass):
@@ -58,11 +81,9 @@ class OpCountPass(Pass):
     uses = ("scope", "state")
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> Any:
-        if ctx.state is not None:
-            return scope_ops(ctx.state)
         out: dict = {}
-        for state in ctx.sdfg.states():
-            out.update(scope_ops(state))
+        for state in _states(ctx):
+            out.update(_by_index(state, scope_ops(state), state.nodes()))
         return out
 
 
@@ -75,10 +96,17 @@ class IntensityPass(Pass):
 
     def run(self, ctx: PassContext, inputs: dict[str, Any]) -> Any:
         ops = inputs["global.opcount"]
-        states = [ctx.state] if ctx.state is not None else ctx.sdfg.states()
         out: dict = {}
-        for state in states:
-            out.update(scope_intensities(ctx.sdfg, state, ops=ops))
+        for state in _states(ctx):
+            nodes = state.nodes()
+            state_ops = {
+                nodes[index]: value
+                for (name, index), value in ops.items()
+                if name == state.name
+            }
+            out.update(_by_index(
+                state, scope_intensities(ctx.sdfg, state, ops=state_ops), nodes
+            ))
         return out
 
 

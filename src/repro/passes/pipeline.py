@@ -195,16 +195,13 @@ class Pipeline:
         embeds its dependencies' keys — making the store content-addressed
         through the whole dependency chain.
         """
-        memo = ctx._components.setdefault("__keys__", {})  # type: ignore[call-overload]
-        try:
-            return memo[product]
-        except KeyError:
-            pass
+        key = ctx.keys.get(product)
+        if key is not None:
+            return key
         pass_ = self._resolve(product)
         fingerprint = tuple(sorted(pass_.fingerprint(ctx).items()))
-        deps = tuple(self.key(dep, ctx) for dep in pass_.depends_on)
-        key = (product, fingerprint, deps)
-        memo[product] = key
+        deps = tuple([self.key(dep, ctx) for dep in pass_.depends_on])
+        key = ctx.keys[product] = (product, fingerprint, deps)
         return key
 
     def _resolve(self, product: str) -> Pass:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro import mutation
 from repro.errors import ReproError, SymbolicError
 from repro.sdfg import dtypes
 from repro.symbolic.expr import Expr, ExprLike, Integer, add, evaluate_int, mul, sub, sympify
@@ -20,18 +21,26 @@ __all__ = ["Data", "Array", "Scalar"]
 
 
 class Data:
-    """Base class for data descriptors."""
+    """Base class for data descriptors.
 
-    __slots__ = ("dtype", "transient")
+    Assigning any descriptor field of an observed descriptor bumps the
+    IR mutation counter (:mod:`repro.mutation`).
+    """
+
+    __slots__ = ("_dtype", "_transient", "_observed")
+
+    dtype = mutation.tracked("_dtype")
+    #: Transient containers are intermediates owned by the program
+    #: (candidates for elimination via fusion); non-transients are the
+    #: program's inputs/outputs.
+    transient = mutation.tracked("_transient")
 
     def __init__(self, dtype: dtypes.Dtype, transient: bool = False):
         if not isinstance(dtype, dtypes.Dtype):
             raise ReproError(f"expected a Dtype, got {dtype!r}")
-        self.dtype = dtype
-        #: Transient containers are intermediates owned by the program
-        #: (candidates for elimination via fusion); non-transients are the
-        #: program's inputs/outputs.
-        self.transient = transient
+        self._dtype = dtype
+        self._transient = transient
+        self._observed = False
 
     @property
     def shape(self) -> tuple[Expr, ...]:
@@ -95,7 +104,11 @@ class Array(Data):
         Whether the container is a program-managed intermediate.
     """
 
-    __slots__ = ("_shape", "strides", "start_offset", "alignment")
+    __slots__ = ("_shape", "_strides", "_start_offset", "_alignment")
+
+    strides = mutation.tracked("_strides", lambda v: tuple(sympify(s) for s in v))
+    start_offset = mutation.tracked("_start_offset", sympify)
+    alignment = mutation.tracked("_alignment", int)
 
     def __init__(
         self,
@@ -112,15 +125,15 @@ class Array(Data):
             raise ReproError("Array requires at least one dimension; use Scalar")
         if strides is None:
             strides = self.c_strides(self._shape)
-        self.strides = tuple(sympify(s) for s in strides)
-        if len(self.strides) != len(self._shape):
+        self._strides = tuple(sympify(s) for s in strides)
+        if len(self._strides) != len(self._shape):
             raise ReproError(
-                f"strides rank {len(self.strides)} does not match shape rank {len(self._shape)}"
+                f"strides rank {len(self._strides)} does not match shape rank {len(self._shape)}"
             )
-        self.start_offset = sympify(start_offset)
+        self._start_offset = sympify(start_offset)
         if alignment < 0:
             raise ReproError("alignment cannot be negative")
-        self.alignment = int(alignment)
+        self._alignment = int(alignment)
 
     # -- constructors -----------------------------------------------------
     @staticmethod

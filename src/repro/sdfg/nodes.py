@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from repro import mutation
 from repro.errors import ReproError
 from repro.symbolic.expr import Expr, ExprLike
 from repro.symbolic.ranges import Range, Subset
@@ -35,11 +36,16 @@ class Node:
     """Base class of dataflow nodes.
 
     Nodes have identity semantics (two access nodes for the same array are
-    distinct graph nodes) plus a stable, globally unique id used for
-    deterministic ordering and serialization.
+    distinct graph nodes) plus a process-local unique id used for
+    deterministic ordering.  Connector lists are tuples; adding a
+    connector to an observed node bumps the IR mutation counter
+    (:mod:`repro.mutation`).
     """
 
-    __slots__ = ("uid", "in_connectors", "out_connectors")
+    __slots__ = ("uid", "_in_connectors", "_out_connectors", "_observed")
+
+    in_connectors = mutation.tracked("_in_connectors", tuple)
+    out_connectors = mutation.tracked("_out_connectors", tuple)
 
     def __init__(
         self,
@@ -47,17 +53,18 @@ class Node:
         out_connectors: Sequence[str] = (),
     ):
         self.uid = next(_node_counter)
-        self.in_connectors: list[str] = list(in_connectors)
-        self.out_connectors: list[str] = list(out_connectors)
+        self._in_connectors: tuple[str, ...] = tuple(in_connectors)
+        self._out_connectors: tuple[str, ...] = tuple(out_connectors)
+        self._observed = False
 
     def add_in_connector(self, name: str) -> str:
-        if name not in self.in_connectors:
-            self.in_connectors.append(name)
+        if name not in self._in_connectors:
+            self.in_connectors = self._in_connectors + (name,)
         return name
 
     def add_out_connector(self, name: str) -> str:
-        if name not in self.out_connectors:
-            self.out_connectors.append(name)
+        if name not in self._out_connectors:
+            self.out_connectors = self._out_connectors + (name,)
         return name
 
     @property
@@ -93,7 +100,9 @@ class Tasklet(Node):
     code to incoming/outgoing memlets.
     """
 
-    __slots__ = ("name", "code")
+    __slots__ = ("name", "_code")
+
+    code = mutation.tracked("_code")
 
     def __init__(
         self,
@@ -106,7 +115,7 @@ class Tasklet(Node):
         self.name = name
         if not outputs:
             raise ReproError(f"tasklet {name!r} requires at least one output")
-        self.code = code
+        self._code = code
 
     @property
     def label(self) -> str:
@@ -114,9 +123,17 @@ class Tasklet(Node):
 
 
 class Map:
-    """A parametric parallel iteration space shared by an entry/exit pair."""
+    """A parametric parallel iteration space shared by an entry/exit pair.
 
-    __slots__ = ("label", "params", "ranges")
+    ``params`` and ``ranges`` are tuples; assigning either (the
+    loop-reorder transform does) on an observed map bumps the IR
+    mutation counter.
+    """
+
+    __slots__ = ("label", "_params", "_ranges", "_observed")
+
+    params = mutation.tracked("_params", tuple)
+    ranges = mutation.tracked("_ranges", tuple)
 
     def __init__(self, label: str, params: Sequence[str], ranges: Sequence[Range]):
         if len(params) != len(ranges):
@@ -126,8 +143,9 @@ class Map:
         if len(set(params)) != len(params):
             raise ReproError(f"map {label!r} has duplicate parameters")
         self.label = label
-        self.params: list[str] = list(params)
-        self.ranges: list[Range] = list(ranges)
+        self._params: tuple[str, ...] = tuple(params)
+        self._ranges: tuple[Range, ...] = tuple(ranges)
+        self._observed = False
 
     @property
     def iteration_space(self) -> Subset:
@@ -170,11 +188,13 @@ class MapEntry(Node):
     and leaves toward the scope body from ``OUT_<name>``.
     """
 
-    __slots__ = ("map", "exit_node")
+    __slots__ = ("_map", "exit_node")
+
+    map = mutation.tracked("_map")
 
     def __init__(self, map_obj: Map):
         super().__init__()
-        self.map = map_obj
+        self._map = map_obj
         #: Set by the state when the matching exit is created.
         self.exit_node: "MapExit | None" = None
 
@@ -186,11 +206,13 @@ class MapEntry(Node):
 class MapExit(Node):
     """Scope-closing node of a parallel map (connectors mirror the entry)."""
 
-    __slots__ = ("map", "entry_node")
+    __slots__ = ("_map", "entry_node")
+
+    map = mutation.tracked("_map")
 
     def __init__(self, map_obj: Map, entry: MapEntry):
         super().__init__()
-        self.map = map_obj
+        self._map = map_obj
         self.entry_node = entry
         entry.exit_node = self
 

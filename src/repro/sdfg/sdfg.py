@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Sequence
 
+from repro import mutation
 from repro.errors import ReproError
 from repro.graph import Edge, OrderedMultiDiGraph
 from repro.sdfg import dtypes
@@ -48,6 +49,12 @@ class SDFG:
     (:attr:`symbols`) and a state machine of dataflow states.  Most
     programs in this library are single-state; the state machine exists for
     completeness and sequential compositions (e.g. multi-kernel programs).
+
+    Every mutator below bumps the IR mutation counter
+    (:mod:`repro.mutation`) after changing an observed SDFG; the
+    whole-program and descriptor-set fingerprints are memoized on the
+    SDFG itself (``_fingerprints``), and the memo never crosses a pickle
+    or copy.
     """
 
     def __init__(self, name: str):
@@ -60,6 +67,13 @@ class SDFG:
         self.symbols: set[str] = set()
         self._states: OrderedMultiDiGraph[SDFGState, InterstateEdge] = OrderedMultiDiGraph()
         self._start_state: SDFGState | None = None
+        self._fingerprints = None
+        self._observed = False
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_fingerprints"] = None
+        return state
 
     # -- data descriptors ------------------------------------------------------
     def add_array(
@@ -85,6 +99,7 @@ class SDFG:
         self.arrays[name] = desc
         for sym in desc.free_symbols():
             self.symbols.add(sym)
+        mutation.changed(self)
         return desc
 
     def add_transient(
@@ -104,6 +119,7 @@ class SDFG:
         self._check_name(name)
         desc = Scalar(dtype, transient=transient)
         self.arrays[name] = desc
+        mutation.changed(self)
         return desc
 
     def add_symbol(self, name: str) -> str:
@@ -111,6 +127,7 @@ class SDFG:
         if not name.isidentifier():
             raise ReproError(f"invalid symbol name {name!r}")
         self.symbols.add(name)
+        mutation.changed(self)
         return name
 
     def replace_descriptor(self, name: str, desc: Data) -> None:
@@ -120,12 +137,14 @@ class SDFG:
         self.arrays[name] = desc
         for sym in desc.free_symbols():
             self.symbols.add(sym)
+        mutation.changed(self)
 
     def remove_data(self, name: str) -> None:
         """Remove a container descriptor (caller removes its access nodes)."""
         if name not in self.arrays:
             raise ReproError(f"container {name!r} is not defined")
         del self.arrays[name]
+        mutation.changed(self)
 
     def _check_name(self, name: str) -> None:
         if not name or not name.isidentifier():
@@ -144,6 +163,7 @@ class SDFG:
         self._states.add_node(state)
         if is_start or self._start_state is None:
             self._start_state = state
+        mutation.changed(self)
         return state
 
     def add_state_after(

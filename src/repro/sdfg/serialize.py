@@ -6,8 +6,9 @@ All symbolic expressions serialize as strings (re-parsed on load), node
 cross-references serialize as per-state indices.
 
 The same canonical documents double as *content fingerprints* for the
-incremental analysis pipeline (:mod:`repro.passes`): every node, edge,
-state, data descriptor and whole SDFG hashes to a stable hex digest.
+incremental analysis pipeline (:mod:`repro.passes`): every node, state,
+data descriptor, descriptor set and whole SDFG hashes to a stable hex
+digest, each over one canonical document.
 Digests are SHA-256 over canonical JSON — dictionary keys sorted, compact
 separators — so they are independent of dict construction order, process
 hash seeds, and round trips through :func:`dumps`/:func:`loads`.  Two
@@ -17,15 +18,27 @@ orderings *are* semantic and therefore preserved in the hash document:
 - container registration order, which fixes the physical allocation
   order :class:`~repro.simulation.layout.MemoryModel` assigns addresses by
   (hashed as an ordered name/descriptor pair list, not a JSON object).
+
+State, array-set and whole-SDFG fingerprints are memoized on the object
+they describe and stay valid while the process-wide IR mutation counter
+(:mod:`repro.mutation`) is unchanged, so an unchanged graph is hashed
+once, not once per query.  The document builders below mark every IR
+object they read as observed (``_observed``) *before* reading it: only a
+change to an observed object bumps the counter.  With
+``REPRO_CHECK_FINGERPRINTS=1`` in the environment every memo hit is
+recomputed and a mismatch — a mutation that did not bump the counter —
+raises :class:`~repro.errors.PipelineError`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+import os
+from typing import Any, Callable
 
-from repro.errors import ReproError
+from repro import mutation
+from repro.errors import PipelineError, ReproError
 from repro.sdfg import dtypes
 from repro.sdfg.data import Array, Data, Scalar
 from repro.sdfg.memlet import Memlet
@@ -42,7 +55,6 @@ __all__ = [
     "canonical_json",
     "data_fingerprint",
     "node_fingerprint",
-    "edge_fingerprint",
     "state_fingerprint",
     "arrays_fingerprint",
     "sdfg_fingerprint",
@@ -53,6 +65,7 @@ __all__ = [
 
 
 def _data_to_json(desc: Data) -> dict[str, Any]:
+    desc._observed = True
     if isinstance(desc, Scalar):
         return {
             "type": "Scalar",
@@ -88,6 +101,7 @@ def _memlet_to_json(memlet: Memlet | None) -> dict[str, Any] | None:
 
 
 def _node_to_json(node: Node, node_ids: dict[Node, int]) -> dict[str, Any]:
+    node._observed = True
     if isinstance(node, AccessNode):
         return {"type": "AccessNode", "data": node.data}
     if isinstance(node, Tasklet):
@@ -99,6 +113,7 @@ def _node_to_json(node: Node, node_ids: dict[Node, int]) -> dict[str, Any]:
             "code": node.code,
         }
     if isinstance(node, MapEntry):
+        node.map._observed = True
         return {
             "type": "MapEntry",
             "label": node.map.label,
@@ -118,27 +133,31 @@ def _node_to_json(node: Node, node_ids: dict[Node, int]) -> dict[str, Any]:
     raise ReproError(f"cannot serialize node {node!r}")
 
 
+def _edge_to_json(edge, node_ids: dict[Node, int]) -> dict[str, Any]:
+    edge.data._observed = True
+    return {
+        "src": node_ids[edge.src],
+        "dst": node_ids[edge.dst],
+        "src_conn": edge.data.src_conn,
+        "dst_conn": edge.data.dst_conn,
+        "memlet": _memlet_to_json(edge.data.memlet),
+    }
+
+
 def _state_to_json(state: SDFGState) -> dict[str, Any]:
+    state.graph._observed = True
     nodes = state.nodes()
     node_ids = {n: i for i, n in enumerate(nodes)}
     return {
         "name": state.name,
         "nodes": [_node_to_json(n, node_ids) for n in nodes],
-        "edges": [
-            {
-                "src": node_ids[e.src],
-                "dst": node_ids[e.dst],
-                "src_conn": e.data.src_conn,
-                "dst_conn": e.data.dst_conn,
-                "memlet": _memlet_to_json(e.data.memlet),
-            }
-            for e in state.edges()
-        ],
+        "edges": [_edge_to_json(e, node_ids) for e in state.edges()],
     }
 
 
 def to_json(sdfg: SDFG) -> dict[str, Any]:
     """Serialize *sdfg* to a JSON-compatible dictionary."""
+    sdfg._observed = sdfg._states._observed = True
     states = sdfg.states()
     state_ids = {s: i for i, s in enumerate(states)}
     return {
@@ -283,6 +302,46 @@ def _digest(doc: Any) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:16]
 
 
+#: ``REPRO_CHECK_FINGERPRINTS=1`` recomputes and compares every memoized
+#: fingerprint hit (read once, at import).
+_check_fingerprints = os.environ.get("REPRO_CHECK_FINGERPRINTS") == "1"
+
+
+def _memoized(obj: Any, variant: str, compute: Callable[[], str]) -> str:
+    """``compute()``, memoized in ``obj._fingerprints`` for this generation.
+
+    The generation is read *before* computing: a mutation racing with the
+    computation bumps the counter after it changes the object, so a
+    digest of half-mutated content is tagged with a generation that is
+    already over by the time the mutation is visible.
+    """
+    generation = mutation.generation
+    memo = obj._fingerprints
+    if memo is None or memo[0] != generation:
+        memo = obj._fingerprints = (generation, {})
+    digest = memo[1].get(variant)
+    if digest is None:
+        digest = memo[1][variant] = compute()
+    elif _check_fingerprints:
+        fresh = compute()
+        if fresh != digest:
+            raise PipelineError(
+                f"memoized {variant} fingerprint of {obj!r} is stale "
+                f"({digest} != recomputed {fresh}): some IR mutation did "
+                "not bump repro.mutation"
+            )
+    return digest
+
+
+def _data_doc(desc: Data, logical: bool) -> dict[str, Any]:
+    doc = _data_to_json(desc)
+    if logical:
+        doc.pop("strides", None)
+        doc.pop("start_offset", None)
+        doc.pop("alignment", None)
+    return doc
+
+
 def data_fingerprint(desc: Data, logical: bool = False) -> str:
     """Stable digest of one data descriptor.
 
@@ -291,23 +350,16 @@ def data_fingerprint(desc: Data, logical: bool = False) -> str:
     fields (strides, start offset, alignment) are excluded, so e.g. stride
     padding does not perturb logical fingerprints.
     """
-    doc = _data_to_json(desc)
-    if logical:
-        doc.pop("strides", None)
-        doc.pop("start_offset", None)
-        doc.pop("alignment", None)
-    return _digest(doc)
+    return _digest(_data_doc(desc, logical))
 
 
-def node_fingerprint(node: Node) -> str:
-    """Stable digest of one graph node's content.
-
-    Self-contained (no per-state index table): a :class:`MapExit` hashes
-    its entry's map content instead of a node index, so the digest does
-    not depend on the node's position in a particular state.
-    """
+def _node_doc(node: Node) -> dict[str, Any]:
+    """A node's document without a per-state index table: a
+    :class:`MapExit` carries its map's content instead of its entry's
+    index, so the document does not depend on the node's position."""
     if isinstance(node, MapExit):
-        doc: dict[str, Any] = {
+        node._observed = node.map._observed = True
+        return {
             "type": "MapExit",
             "label": node.map.label,
             "params": list(node.map.params),
@@ -315,34 +367,30 @@ def node_fingerprint(node: Node) -> str:
                 [str(r.begin), str(r.end), str(r.step)] for r in node.map.ranges
             ],
         }
-    else:
-        doc = _node_to_json(node, {})
-    return _digest(doc)
+    return _node_to_json(node, {})
 
 
-def edge_fingerprint(edge, node_ids: dict[Node, int]) -> str:
-    """Stable digest of one dataflow edge (endpoints by state-local index)."""
-    conn = edge.data
-    doc = {
-        "src": node_ids[edge.src],
-        "dst": node_ids[edge.dst],
-        "src_conn": None if conn is None else conn.src_conn,
-        "dst_conn": None if conn is None else conn.dst_conn,
-        "memlet": None if conn is None else _memlet_to_json(conn.memlet),
-    }
-    return _digest(doc)
+def node_fingerprint(node: Node) -> str:
+    """Stable digest of one graph node's content, independent of its
+    position in a particular state."""
+    return _digest(_node_doc(node))
 
 
 def state_fingerprint(state: SDFGState) -> str:
-    """Stable digest of one state: Merkle over node and edge fingerprints."""
-    nodes = state.nodes()
-    node_ids = {n: i for i, n in enumerate(nodes)}
-    doc = {
-        "name": state.name,
-        "nodes": [node_fingerprint(n) for n in nodes],
-        "edges": [edge_fingerprint(e, node_ids) for e in state.edges()],
-    }
-    return _digest(doc)
+    """Stable digest of one state: its node and edge documents, in graph
+    order, with edges referring to nodes by state-local index."""
+
+    def compute() -> str:
+        state.graph._observed = True
+        nodes = state.nodes()
+        node_ids = {n: i for i, n in enumerate(nodes)}
+        return _digest({
+            "name": state.name,
+            "nodes": [_node_doc(n) for n in nodes],
+            "edges": [_edge_to_json(e, node_ids) for e in state.edges()],
+        })
+
+    return _memoized(state, "state", compute)
 
 
 def arrays_fingerprint(sdfg: SDFG, logical: bool = False) -> str:
@@ -354,16 +402,17 @@ def arrays_fingerprint(sdfg: SDFG, logical: bool = False) -> str:
     and sorts by name, since the logical access pattern is insensitive to
     both.
     """
-    if logical:
-        pairs = sorted(
-            (name, data_fingerprint(desc, logical=True))
-            for name, desc in sdfg.arrays.items()
-        )
-    else:
+
+    def compute() -> str:
+        sdfg._observed = True
         pairs = [
-            (name, data_fingerprint(desc)) for name, desc in sdfg.arrays.items()
+            (name, _data_doc(desc, logical)) for name, desc in sdfg.arrays.items()
         ]
-    return _digest(pairs)
+        if logical:
+            pairs.sort(key=lambda pair: pair[0])
+        return _digest(pairs)
+
+    return _memoized(sdfg, "arrays.logical" if logical else "arrays", compute)
 
 
 def sdfg_fingerprint(sdfg: SDFG) -> str:
@@ -373,24 +422,29 @@ def sdfg_fingerprint(sdfg: SDFG) -> str:
     round trips; changes whenever any state graph, data descriptor,
     symbol set or interstate structure changes.
     """
-    states = sdfg.states()
-    state_ids = {s: i for i, s in enumerate(states)}
-    doc = {
-        "name": sdfg.name,
-        "symbols": sorted(sdfg.symbols),
-        "arrays": [
-            [name, _data_to_json(desc)] for name, desc in sdfg.arrays.items()
-        ],
-        "states": [state_fingerprint(s) for s in states],
-        "start_state": state_ids[sdfg.start_state] if states else None,
-        "interstate_edges": [
-            {
-                "src": state_ids[e.src],
-                "dst": state_ids[e.dst],
-                "condition": e.data.condition,
-                "assignments": dict(e.data.assignments),
-            }
-            for e in sdfg.interstate_edges()
-        ],
-    }
-    return _digest(doc)
+
+    def compute() -> str:
+        sdfg._observed = sdfg._states._observed = True
+        states = sdfg.states()
+        state_ids = {s: i for i, s in enumerate(states)}
+        doc = {
+            "name": sdfg.name,
+            "symbols": sorted(sdfg.symbols),
+            "arrays": [
+                [name, _data_to_json(desc)] for name, desc in sdfg.arrays.items()
+            ],
+            "states": [state_fingerprint(s) for s in states],
+            "start_state": state_ids[sdfg.start_state] if states else None,
+            "interstate_edges": [
+                {
+                    "src": state_ids[e.src],
+                    "dst": state_ids[e.dst],
+                    "condition": e.data.condition,
+                    "assignments": dict(e.data.assignments),
+                }
+                for e in sdfg.interstate_edges()
+            ],
+        }
+        return _digest(doc)
+
+    return _memoized(sdfg, "sdfg", compute)

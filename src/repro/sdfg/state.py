@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
+from repro import mutation
 from repro.errors import GraphError, ReproError
 from repro.graph import Edge, OrderedMultiDiGraph, topological_sort
 from repro.sdfg.memlet import Memlet
@@ -26,14 +27,21 @@ __all__ = ["Connection", "SDFGState"]
 
 
 class Connection:
-    """Edge payload: connector names plus the memlet moving along the edge."""
+    """Edge payload: connector names plus the memlet moving along the edge.
 
-    __slots__ = ("src_conn", "dst_conn", "memlet")
+    Replacing the memlet (layout transforms rewrite subsets this way) of
+    an observed connection bumps the IR mutation counter.
+    """
+
+    __slots__ = ("src_conn", "dst_conn", "_memlet", "_observed")
+
+    memlet = mutation.tracked("_memlet")
 
     def __init__(self, src_conn: str | None, dst_conn: str | None, memlet: Memlet | None):
         self.src_conn = src_conn
         self.dst_conn = dst_conn
-        self.memlet = memlet
+        self._memlet = memlet
+        self._observed = False
 
     def __repr__(self) -> str:
         return f"Connection({self.src_conn!r} -> {self.dst_conn!r}: {self.memlet!r})"
@@ -51,6 +59,10 @@ class SDFGState:
     plus a memlet).  Convenience constructors build common structures —
     in particular :meth:`add_mapped_tasklet`, which assembles the canonical
     "map over a tasklet" pattern with correctly propagated outer memlets.
+
+    The state's content fingerprint is memoized on the state itself
+    (``_fingerprints``, see :mod:`repro.sdfg.serialize`); the memo never
+    crosses a pickle or copy.
     """
 
     def __init__(self, name: str, sdfg: "SDFG | None" = None):
@@ -59,6 +71,12 @@ class SDFGState:
         self.name = name
         self.sdfg = sdfg
         self.graph: OrderedMultiDiGraph[Node, Connection] = OrderedMultiDiGraph()
+        self._fingerprints = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_fingerprints"] = None
+        return state
 
     # -- nodes --------------------------------------------------------------
     def add_node(self, node: Node) -> Node:

@@ -174,11 +174,6 @@ class AnalysisServer:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
-        #: Per-(line_size, capacity) base contexts sharing the graph
-        #: fingerprints: a warm request must not re-hash the (unchanged)
-        #: SDFG.  Keyed by configuration because ``adopt_components`` is
-        #: only valid between same-configuration contexts.
-        self._bases: dict[tuple[int, int], Any] = {}
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -451,25 +446,6 @@ class AnalysisServer:
             self.tracer.record(f"serve:{endpoint}", elapsed)
 
     # -- evaluation plumbing ---------------------------------------------------
-    def _point_context(self, params, line_size, capacity):
-        config = (line_size, capacity)
-        base = self._bases.get(config)
-        ctx = self.session.point_context(
-            params, line_size=line_size, capacity_lines=capacity, base=base
-        )
-        if base is None:
-            donor = next(iter(self._bases.values()), None)
-            if donor is not None:
-                # Cross-config graph-fingerprint sharing: pin this
-                # config's own components first so the donor's values
-                # (different line/capacity) can never leak in through
-                # adopt_components' setdefault.
-                for name in ("scope", "sim", "line", "capacity"):
-                    ctx.component(name)
-                ctx.adopt_components(donor)
-            self._bases[config] = ctx
-        return ctx
-
     async def _coalesced(
         self,
         conn: Connection,
@@ -574,7 +550,7 @@ class AnalysisServer:
             raise HttpError(400, f"unknown format {fmt!r} (svg or json)")
         # ``global.totals`` keys on graph content, not env, so the env
         # rides alongside in the ETag/coalescing tuple.
-        ctx = self._point_context(env, 64, 512)
+        ctx = self.session.point_context(env)
         key = (
             "global.heatmap",
             tuple(sorted(env.items())),
@@ -626,7 +602,9 @@ class AnalysisServer:
     ) -> bool:
         params = _parse_symbols(request.query)
         line_size, capacity = _parse_cache_model(request.query)
-        ctx = self._point_context(params, line_size, capacity)
+        ctx = self.session.point_context(
+            params, line_size=line_size, capacity_lines=capacity
+        )
         key = self.session.product_key("local.point", ctx)
 
         def compute(cancel: CancelToken) -> Response:

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 from repro.errors import SimulationError
 from repro.sdfg.data import Array
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import AccessNode, MapEntry, MapExit, NestedSDFG, Node, Tasklet
+from repro.sdfg.nodes import AccessNode, Map, MapEntry, MapExit, NestedSDFG, Node, Tasklet
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.state import SDFGState
 from repro.simulation.iterspace import iteration_points
@@ -352,13 +352,18 @@ class AccessPatternSimulator:
         env: dict[str, int],
         result: SimulationResult,
         outer_point: tuple[int, ...],
+        map_obj: Map | None = None,
     ) -> None:
+        # *map_obj* overrides the entry's iteration space (simulate_region's
+        # outer-loop window) without touching the graph.
+        if map_obj is None:
+            map_obj = entry.map
         scope_nodes = children.get(entry, [])
         order = [n for n in state.topological_nodes() if n in scope_nodes]
         tasklets = [n for n in order if isinstance(n, Tasklet)]
         nested = [n for n in order if isinstance(n, MapEntry)]
         nested_sdfgs = [n for n in order if isinstance(n, NestedSDFG)]
-        params = entry.map.params
+        params = map_obj.params
 
         if self.fast and not nested and not nested_sdfgs:
             from repro.simulation.vectorized import simulate_scope_vectorized
@@ -366,6 +371,7 @@ class AccessPatternSimulator:
             if simulate_scope_vectorized(
                 state, entry, tasklets, env, result, outer_point,
                 self._tracked, self._compiled, timings=self.timings,
+                map_obj=map_obj,
             ):
                 return
 
@@ -375,7 +381,7 @@ class AccessPatternSimulator:
         # nested maps run inside it and must not double-count.
         events_before = result.num_events
         with maybe_span(self.timings if not outer_point else None, "evaluate") as span:
-            for point in iteration_points(entry.map, env):
+            for point in iteration_points(map_obj, env):
                 for name, value in zip(params, point):
                     env[name] = value
                 step = self._next_step(result)
@@ -393,7 +399,7 @@ class AccessPatternSimulator:
                     )
             for name in params:
                 env.pop(name, None)
-            span.set(scope=entry.map.label, events=result.num_events - events_before)
+            span.set(scope=map_obj.label, events=result.num_events - events_before)
 
     def _next_step(self, result: SimulationResult) -> int:
         step = result.num_steps
@@ -572,8 +578,9 @@ def simulate_state(
 class _ConcreteIndices:
     """A map range stand-in holding an explicit list of concrete indices.
 
-    :func:`simulate_region` temporarily replaces the outermost map range
-    with one of these to restrict simulation to a window of iterations.
+    :func:`simulate_region` simulates a copy of the map whose outermost
+    range is one of these, to restrict simulation to a window of
+    iterations.
     Only the protocol the simulation paths actually exercise is provided:
     ``concretize`` (both the interpreter's ``iteration_points`` and the
     vectorized ``_iteration_grids`` go through it), ``size`` and
@@ -625,17 +632,19 @@ def simulate_region(
     result = SimulationResult(sdfg, sim.symbols)
     env: dict[str, int] = dict(sim.symbols)
     if isinstance(node, MapEntry):
-        old_ranges = node.map.ranges
-        try:
-            if outer_slice is not None:
-                lo, hi = outer_slice
-                indices = list(old_ranges[0].concretize(env))[lo:hi]
-                node.map.ranges = [_ConcreteIndices(indices)] + list(old_ranges[1:])
-            sim._simulate_scope(
-                state, node, state.scope_children(), env, result, outer_point=()
+        map_obj = node.map
+        if outer_slice is not None:
+            lo, hi = outer_slice
+            indices = list(map_obj.ranges[0].concretize(env))[lo:hi]
+            map_obj = Map(
+                map_obj.label,
+                map_obj.params,
+                (_ConcreteIndices(indices),) + map_obj.ranges[1:],
             )
-        finally:
-            node.map.ranges = old_ranges
+        sim._simulate_scope(
+            state, node, state.scope_children(), env, result, outer_point=(),
+            map_obj=map_obj,
+        )
     elif isinstance(node, Tasklet):
         step = sim._next_step(result)
         sim._execute_tasklet(state, node, env, result, point=(), step=step)

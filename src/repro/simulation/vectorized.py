@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.sdfg.memlet import Memlet
-from repro.sdfg.nodes import MapEntry, Tasklet
+from repro.sdfg.nodes import Map, MapEntry, Tasklet
 from repro.sdfg.state import SDFGState
 from repro.simulation.affine import AffineSubset
 from repro.simulation.trace import AccessEvent, AccessKind
@@ -115,14 +115,13 @@ class _InterpPlan:
 
 
 def _iteration_grids(
-    entry: MapEntry, env: dict
+    map_obj: Map, env: dict
 ) -> tuple[list[np.ndarray], int, list[tuple[int, ...]]] | None:
     """Flat parameter columns + iteration points, in interpreter order.
 
     Returns ``None`` for an empty iteration space (any dimension with no
     indices), matching the interpreter's "loop body never runs" case.
     """
-    map_obj = entry.map
     try:
         concrete = [r.concretize(env) for r in map_obj.ranges]
     except Exception as exc:  # noqa: BLE001 — converted to SimulationError
@@ -197,22 +196,25 @@ def simulate_scope_vectorized(
     tracked: Callable[[str], bool],
     compile_subset: Callable[[Memlet], object],
     timings: "StageTimings | None" = None,
+    map_obj: Map | None = None,
 ) -> bool:
     """Vectorized simulation of one flat map scope.
 
     Returns ``True`` when the scope was fully handled (events appended,
     step/execution counters advanced — trace-identical to the
     interpreter), or ``False`` to decline (no memlet vectorizes), in
-    which case the caller runs the interpreter unchanged.
+    which case the caller runs the interpreter unchanged.  *map_obj*
+    overrides the entry's iteration space (a window of the outer loop).
     """
     from repro.analysis.timing import maybe_span
 
-    map_obj = entry.map
+    if map_obj is None:
+        map_obj = entry.map
     params = frozenset(map_obj.params)
     param_index = {p: i for i, p in enumerate(map_obj.params)}
 
     with maybe_span(timings, "enumerate"):
-        grids = _iteration_grids(entry, env)
+        grids = _iteration_grids(map_obj, env)
     if grids is None:
         return True  # empty iteration space: no events, no steps
     cols, niter, points = grids

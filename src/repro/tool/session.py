@@ -333,18 +333,12 @@ class Session:
         capacity_lines: int = 512,
         include_transients: bool = False,
         fast: bool = True,
-        base: PassContext | None = None,
     ) -> PassContext:
         """A whole-program :class:`~repro.passes.base.PassContext` for one
         parameter point, suitable for :meth:`product_key` and
         :meth:`~repro.passes.pipeline.Pipeline.run`.
-
-        Passing a previous context as *base* shares its already-computed
-        graph fingerprints (valid while the SDFG is unchanged — the
-        long-lived analysis service reuses one base per configuration so
-        a warm request never re-hashes the graph).
         """
-        ctx = PassContext(
+        return PassContext(
             self.sdfg,
             state=None,
             env=params,
@@ -356,9 +350,6 @@ class Session:
             timings=self.tracer,
             metrics=self.metrics,
         )
-        if base is not None:
-            ctx.adopt_components(base)
-        return ctx
 
     def product_key(self, product: str, ctx: PassContext) -> tuple:
         """The content-addressed pipeline key of *product* under *ctx*.
@@ -434,28 +425,14 @@ class Session:
         else:
             grid = [dict(point) for point in params_grid]
 
-        # All points share the graph fingerprints; only ``env`` differs.
-        base_ctx: PassContext | None = None
-
         def ctx_of(params: Mapping[str, int]) -> PassContext:
-            nonlocal base_ctx
-            ctx = PassContext(
-                self.sdfg,
-                state=None,
-                env=params,
+            return self.point_context(
+                params,
                 line_size=line_size,
                 capacity_lines=capacity_lines,
                 include_transients=include_transients,
                 fast=fast,
-                scope=self._cache_scope(),
-                timings=self.tracer,
-                metrics=self.metrics,
             )
-            if base_ctx is None:
-                base_ctx = ctx
-            else:
-                ctx.adopt_components(base_ctx)
-            return ctx
 
         def key_of(params: Mapping[str, int]) -> tuple:
             # Content-addressed: embeds the graph/descriptor fingerprints,
@@ -758,6 +735,11 @@ class GlobalView:
         )
 
     # -- metrics ---------------------------------------------------------------
+    @staticmethod
+    def _live(values: Mapping[tuple[str, int], float], elements: list) -> dict:
+        """Index-keyed product values re-keyed by the live graph elements."""
+        return {elements[index]: value for (_, index), value in values.items()}
+
     def movement_heatmap(
         self,
         env: Mapping[str, int],
@@ -766,17 +748,20 @@ class GlobalView:
     ) -> Heatmap:
         """Edge heatmap of logical data-movement volumes."""
         volumes = self.pipeline.run("global.movement.eval", self._context(env))
-        return Heatmap(volumes["unique" if unique else "counted"], method=method)
+        return Heatmap(
+            self._live(volumes["unique" if unique else "counted"], self.state.edges()),
+            method=method,
+        )
 
     def opcount_heatmap(self, env: Mapping[str, int], method: str = "median") -> Heatmap:
         """Node heatmap of arithmetic-operation counts."""
         ops = self.pipeline.run("global.opcount.eval", self._context(env))
-        return Heatmap(ops, method=method)
+        return Heatmap(self._live(ops, self.state.nodes()), method=method)
 
     def intensity_heatmap(self, env: Mapping[str, int], method: str = "median") -> Heatmap:
         """Node heatmap of arithmetic intensity (ops per byte)."""
         intensity = self.pipeline.run("global.intensity.eval", self._context(env))
-        return Heatmap(intensity, method=method)
+        return Heatmap(self._live(intensity, self.state.nodes()), method=method)
 
     def _totals(self) -> dict[str, Any]:
         return self.pipeline.run("global.totals", self._whole_program_context())

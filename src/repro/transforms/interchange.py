@@ -113,6 +113,6 @@ def move_loop_into_map(state: SDFGState, outer: MapEntry) -> TransformReport:
         modified_states=(state.name,),
         detail=(
             f"loop {merged.params[-1]!r} moved into map {merged.label!r} "
-            f"-> params {merged.params}"
+            f"-> params {list(merged.params)}"
         ),
     )

@@ -45,5 +45,5 @@ def reorder_map(
     map_obj.ranges = [map_obj.ranges[i] for i in indices]
     return TransformReport(
         "reorder_map",
-        detail=f"map {map_obj.label!r} -> params {map_obj.params}",
+        detail=f"map {map_obj.label!r} -> params {list(map_obj.params)}",
     )

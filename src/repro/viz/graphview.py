@@ -63,6 +63,10 @@ class GraphRenderer:
         self.detail = visible_detail(zoom)
         self.layout: StateLayout = layout_state(state)
         self._hidden: set[Node] = self._hidden_nodes()
+        #: State-local node indices: tooltips name nodes by position, not
+        #: by process-local ``uid``, so every process renders one graph
+        #: to the same bytes.
+        self._index: dict[Node, int] = {n: i for i, n in enumerate(state.nodes())}
 
     def _hidden_nodes(self) -> set[Node]:
         """Nodes hidden by collapsed scopes (drawn as scope summaries)."""
@@ -158,7 +162,7 @@ class GraphRenderer:
                 doc.text(box.x, box.y + 4, f"{node.label} [+]", font_size=11)
                 continue
             label = _node_label(node)
-            title = repr(node)
+            title = f"{type(node).__name__}({node.label}, node {self._index[node]})"
             if isinstance(node, AccessNode):
                 doc.ellipse(
                     box.x, box.y, box.width / 2, box.height / 2,

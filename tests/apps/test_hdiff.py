@@ -60,7 +60,7 @@ class TestSDFG:
         state = sdfg.start_state
         # One fused 3-D loop, as the paper presents it.
         assert len(state.map_entries()) == 1
-        assert state.map_entries()[0].map.params == ["i", "j", "k"]
+        assert state.map_entries()[0].map.params == ("i", "j", "k")
 
     def test_codegen_matches_numpy(self, small_inputs):
         in_field, out_field, coeff = small_inputs
@@ -107,7 +107,7 @@ class TestTuningSteps:
     def test_reorder_makes_k_outermost(self):
         sdfg = H.build_sdfg()
         H.apply_reorder(sdfg)
-        assert sdfg.start_state.map_entries()[0].map.params == ["k", "i", "j"]
+        assert sdfg.start_state.map_entries()[0].map.params == ("k", "i", "j")
 
     def test_padding_aligns_rows(self):
         sdfg = H.build_sdfg()

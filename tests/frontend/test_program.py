@@ -70,7 +70,7 @@ class TestBasicParsing:
     def test_map_ranges(self):
         sdfg = outer_product.to_sdfg()
         entry = sdfg.start_state.map_entries()[0]
-        assert entry.map.params == ["i", "j"]
+        assert entry.map.params == ("i", "j")
         assert str(entry.map.ranges[0]) == "0:I"
         assert str(entry.map.ranges[1]) == "0:J"
 
@@ -249,7 +249,7 @@ class TestBounds:
                 B[i] = A[i]
 
         sdfg = kw.to_sdfg()
-        assert sdfg.start_state.map_entries()[0].map.params == ["i"]
+        assert sdfg.start_state.map_entries()[0].map.params == ("i",)
 
     def test_integer_bounds(self):
         @program

@@ -256,16 +256,6 @@ class TestPassContext:
         assert unfocused.component("state") == unfocused.component("states")
         assert focused.component("state") != unfocused.component("states")
 
-    def test_adopt_components_skips_env(self):
-        sdfg = linalg.build_outer_product()
-        a = PassContext(sdfg, env={"M": 2, "N": 2})
-        a.component("states")
-        a.component("env")
-        b = PassContext(sdfg, env={"M": 9, "N": 9})
-        b.adopt_components(a)
-        assert "states" in b._components
-        assert b.component("env") == (("M", 9), ("N", 9))
-
 
 class TestDefaultPipeline:
     def test_registers_global_and_local_chains(self):

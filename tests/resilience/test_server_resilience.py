@@ -289,6 +289,10 @@ class TestGracefulDrain:
 
 
 class TestStopWedgeRegression:
+    @pytest.mark.leaks_thread(
+        "repro-serve-loop",
+        reason="the server's loop thread is wedged on purpose and cannot be joined",
+    )
     def test_wedged_handler_surfaces_join_timeout(self):
         # A handler that swallows its cancellation forever used to make
         # stop() silently leave the loop thread alive while shutting the
@@ -302,11 +306,16 @@ class TestStopWedgeRegression:
                 except asyncio.CancelledError:
                     continue  # deliberately ignores cancellation
 
+        def client():
+            # The wedged handler never answers: the read times out.
+            try:
+                get(srv, "/v1/wedge", timeout=3)
+            except OSError:
+                pass
+
         srv._routes[("GET", "/v1/wedge")] = wedge
-        threading.Thread(
-            target=get, args=(srv, "/v1/wedge"), kwargs={"timeout": 10},
-            daemon=True,
-        ).start()
+        caller = threading.Thread(target=client, daemon=True)
+        caller.start()
         assert wait_for(lambda: srv.drain.inflight == 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -315,6 +324,8 @@ class TestStopWedgeRegression:
             issubclass(w.category, ServeShutdownWarning) for w in caught
         )
         assert srv.metrics.counter("serve.stop.join_timeouts").value == 1
+        caller.join(timeout=10)
+        assert not caller.is_alive()
         # The loop thread is leaked (daemon) by design; no further joins.
 
 

@@ -149,14 +149,14 @@ class TestReorderMap:
         sdfg = sweep3d.to_sdfg()
         entry = self.get_entry(sdfg)
         reorder_map(entry, [2, 0, 1])
-        assert entry.map.params == ["k", "i", "j"]
-        assert entry.exit_node.map.params == ["k", "i", "j"]
+        assert entry.map.params == ("k", "i", "j")
+        assert entry.exit_node.map.params == ("k", "i", "j")
 
     def test_by_names(self):
         sdfg = sweep3d.to_sdfg()
         entry = self.get_entry(sdfg)
         reorder_map(entry, ["k", "i", "j"])
-        assert entry.map.params == ["k", "i", "j"]
+        assert entry.map.params == ("k", "i", "j")
         assert str(entry.map.ranges[0]) == "0:K"
 
     def test_changes_playback_order_not_accesses(self):

@@ -198,7 +198,7 @@ class TestApplication:
         fuse_all_maps(sdfg)
         state = sdfg.start_state
         entry = state.map_entries()[0]
-        assert entry.map.params == ["i"]
+        assert entry.map.params == ("i",)
         # Consumer's memlets now reference i.
         for _, memlet in state.all_memlets():
             assert "j" not in memlet.free_symbols()

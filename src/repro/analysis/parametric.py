@@ -329,7 +329,6 @@ def _evaluate_point(
     """Run the locality pipeline at one parameter point (array-first).
 
     *timings* is an optional span collector (a
-    :class:`~repro.analysis.timing.StageTimings` or
     :class:`~repro.obs.trace.Tracer`) receiving the per-stage spans of
     this point's pipeline run.
     """

@@ -6,13 +6,11 @@ fallback, dropped sweep points, stale cache entries) shows the engineer
 a wrong heatmap with full confidence.  This package gives every
 pipeline run an inspectable execution record:
 
-- :mod:`repro.obs.trace` — hierarchical wall-time spans generalizing
-  the flat :class:`~repro.analysis.timing.StageTimings` collector.  A
-  :class:`~repro.obs.trace.Tracer` is duck-compatible with
-  ``StageTimings`` (``span``/``add``), so it threads through the
-  simulation and analysis layers unchanged while additionally
-  recording parent/child structure, per-span attributes, and error
-  status — exportable as JSON.
+- :mod:`repro.obs.trace` — hierarchical wall-time spans, the one
+  timing record of a session.  A :class:`~repro.obs.trace.Tracer`
+  threads through the simulation and analysis layers as their
+  ``timings`` collector, recording parent/child structure, per-span
+  attributes, and error status — exportable as JSON.
 - :mod:`repro.obs.metrics` — a registry of named counters, gauges and
   histograms (sweep retries, timeouts, pool respawns, cache hits,
   per-point latencies), also exportable as JSON.

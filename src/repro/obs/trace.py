@@ -1,18 +1,15 @@
 """Hierarchical wall-time tracing spans.
 
-:class:`Tracer` generalizes the flat per-stage collector
-(:class:`~repro.analysis.timing.StageTimings`): spans carry a name,
-wall-time bounds, arbitrary attributes, an error status, and a parent
-link, forming a tree per thread of execution.  The whole trace exports
-to JSON for offline inspection.
+A :class:`Tracer` is the one timing record of a session: spans carry a
+name, wall-time bounds, arbitrary attributes, an error status, and a
+parent link, forming a tree per thread of execution.  Flat per-name
+queries (:meth:`Tracer.count`, :meth:`Tracer.total`) aggregate over the
+tree, and the whole trace exports to JSON for offline inspection.
 
-A tracer is deliberately duck-compatible with ``StageTimings`` — it
-provides the same ``span(name)`` context manager and ``add(name,
-seconds)`` hook — so it can be passed wherever the simulation and
-analysis layers accept a ``timings`` collector, without those layers
-knowing about hierarchy.  Attaching a ``StageTimings`` instance mirrors
-every finished span into it, keeping the existing flat queries
-(``count``/``total``/``report``) alive alongside the tree.
+The simulation and analysis layers take the tracer as their
+``timings`` collector and only ever call ``span(name)`` on it (through
+:func:`~repro.analysis.timing.maybe_span`), without knowing about
+hierarchy.
 """
 
 from __future__ import annotations
@@ -117,10 +114,7 @@ class Tracer:
         tracer.export("trace.json")
     """
 
-    def __init__(self, timings=None):
-        #: Optional flat mirror (a ``StageTimings``): every finished span
-        #: is also recorded there as ``add(name, seconds)``.
-        self._timings = timings
+    def __init__(self):
         self._spans: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -165,15 +159,9 @@ class Tracer:
         self._finish(span)
         return span
 
-    def add(self, stage: str, seconds: float) -> None:
-        """``StageTimings``-compatible hook: record a finished span."""
-        self.record(stage, seconds)
-
     def _finish(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-        if self._timings is not None:
-            self._timings.add(span.name, span.seconds)
 
     # -- queries -----------------------------------------------------------
     def spans(self, name: str | None = None) -> list[Span]:

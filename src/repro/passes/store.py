@@ -9,8 +9,10 @@ it is the absence of the new key in the store.
 The store wraps every value in a cell so that ``None`` (or any falsy
 product) is a legal cached result, and delegates storage to a pluggable
 *backing* cache — any object with the ``get``/``put``/``clear``/``info``
-protocol of :class:`~repro.tool.session.SimulationCache` — so a session
-can keep exposing one shared LRU with one set of hit/miss counters.
+protocol of :class:`_LRUBacking`, such as the memory-over-disk
+:class:`~repro.storage.tiered.TieredBacking`.  A session keeps exactly
+one store, so its ``info()`` is the session's one set of occupancy and
+hit/miss counters.
 """
 
 from __future__ import annotations
@@ -24,9 +26,12 @@ __all__ = ["ResultStore"]
 
 _MISS = object()
 
+#: Entry bound of a store's memory tier unless the caller sizes it.
+MEMORY_ENTRIES = 256
+
 
 class _LRUBacking:
-    """Minimal bounded LRU used when no external backing cache is given.
+    """Bounded LRU memory tier of a :class:`ResultStore`.
 
     Bounded two ways: by entry *count* (``maxsize``) and — because a few
     large local-view products can dwarf hundreds of tiny symbolic
@@ -112,7 +117,7 @@ class ResultStore:
     def __init__(
         self,
         backing=None,
-        maxsize: int = 256,
+        maxsize: int = MEMORY_ENTRIES,
         max_bytes: int | None = None,
     ):
         self.backing = (

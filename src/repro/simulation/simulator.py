@@ -285,8 +285,8 @@ class AccessPatternSimulator:
         per-iteration interpreter everywhere (the differential-testing
         reference).  Both paths produce identical traces.
     timings:
-        Optional :class:`~repro.analysis.timing.StageTimings` collector
-        recording enumerate/evaluate wall-time spans.
+        Optional :class:`~repro.obs.trace.Tracer` recording
+        enumerate/evaluate wall-time spans.
     """
 
     def __init__(

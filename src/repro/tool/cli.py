@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timings",
         action="store_true",
-        help="print per-stage wall-time spans of the analysis pipeline",
+        help="print the count and total wall time of each span name "
+        "recorded by the analysis pipeline",
     )
     parser.add_argument(
         "--trace",
@@ -315,8 +316,16 @@ def main(argv: list[str] | None = None) -> int:
         report.save(args.output)
         print(f"report written to {args.output}")
         if args.timings:
-            print("pipeline stage timings:")
-            print(session.timings.report())
+            tracer = session.tracer
+            names = list(dict.fromkeys(span.name for span in tracer.spans()))
+            width = max([len("span"), *map(len, names)])
+            print("pipeline span timings:")
+            print(f"{'span'.ljust(width)}  count      total")
+            for name in names:
+                print(
+                    f"{name.ljust(width)}  {tracer.count(name):5d}  "
+                    f"{tracer.total(name) * 1e3:7.2f}ms"
+                )
         if args.explain_cache:
             print("analysis-pass cache report:")
             print(session.pass_report())

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import statistics
-from collections import OrderedDict
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis import ParameterSweep
@@ -28,7 +27,7 @@ from repro.analysis.parametric import (
     LocalSweepPoint,
     parameter_grid,
 )
-from repro.analysis.timing import StageTimings, maybe_span
+from repro.analysis.timing import maybe_span
 from repro.errors import AnalysisError, ReproError
 from repro.obs import MetricsRegistry, Tracer
 from repro.frontend.program import Program
@@ -40,7 +39,7 @@ from repro.passes import (
     ResultStore,
     build_pipeline,
 )
-from repro.passes.store import _LRUBacking
+from repro.passes.store import MEMORY_ENTRIES, _LRUBacking
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.sdfg.nodes import MapEntry
@@ -50,7 +49,6 @@ from repro.storage import (
     DiskCache,
     DiskCachedPointFn,
     TieredBacking,
-    approx_sizeof,
 )
 from repro.sdfg.serialize import data_fingerprint, state_fingerprint
 from repro.sdfg.state import SDFGState
@@ -77,120 +75,27 @@ from repro.viz.report import ReportBuilder
 from repro.viz.containerview import render_container
 from repro.viz.histogramview import render_histogram
 
-__all__ = ["Session", "GlobalView", "LocalView", "SimulationCache"]
-
-
-class SimulationCache:
-    """Bounded LRU cache of simulation and locality-pipeline results.
-
-    Slider interactions in the paper's interactive loop revisit parameter
-    points constantly; memoizing per ``(cache scope, state label, frozen
-    params, memory-model config)`` makes revisits O(1).  The cache is owned by the
-    :class:`Session` and shared by every :class:`LocalView` it opens, with
-    least-recently-used eviction bounding memory.
-
-    Eviction is bounded two ways: by entry count (*maxsize*) and by
-    approximate bytes (*max_bytes*) — a few large local-view products
-    can dwarf hundreds of tiny symbolic entries, so entry count alone
-    is not a memory bound.  Sizes come from *sizeof* (default
-    :func:`~repro.storage.sizing.approx_sizeof`).
-    """
-
-    def __init__(
-        self,
-        maxsize: int = 32,
-        max_bytes: int | None = None,
-        sizeof: Callable[[Any], int] | None = None,
-    ):
-        self.maxsize = int(maxsize)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self._sizeof = sizeof if sizeof is not None else approx_sizeof
-        self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
-        self._sizes: dict[tuple, int] = {}
-        self.approx_bytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple) -> Any:
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def _measure(self, value: Any) -> int:
-        try:
-            return int(self._sizeof(value))
-        except Exception:  # noqa: BLE001 — fault barrier: sizing must never break caching
-            return 0
-
-    def _over_budget(self) -> bool:
-        if len(self._entries) > self.maxsize:
-            return True
-        return self.max_bytes is not None and self.approx_bytes > self.max_bytes
-
-    def put(self, key: tuple, value: Any) -> None:
-        if key in self._entries:
-            self.approx_bytes -= self._sizes.pop(key, 0)
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        size = self._measure(value)
-        self._sizes[key] = size
-        self.approx_bytes += size
-        # The just-inserted entry is exempt: evicting a single oversized
-        # product would only buy a put/miss recompute loop.
-        while len(self._entries) > 1 and self._over_budget():
-            evicted, _ = self._entries.popitem(last=False)
-            self.approx_bytes -= self._sizes.pop(evicted, 0)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._sizes.clear()
-        self.approx_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def info(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "approx_bytes": self.approx_bytes,
-            "max_bytes": 0 if self.max_bytes is None else self.max_bytes,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"SimulationCache(entries={len(self._entries)}/{self.maxsize}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+__all__ = ["Session", "GlobalView", "LocalView"]
 
 
 class Session:
     """One analysis session over a program.
 
     Accepts either a :class:`~repro.frontend.program.Program` (translated
-    on construction) or a ready SDFG.  The session owns a
-    :class:`SimulationCache` shared by all local views it opens, a
-    hierarchical :class:`~repro.obs.trace.Tracer` (mirrored into the
-    flat :class:`~repro.analysis.timing.StageTimings` collector exposed
-    as :attr:`timings`), and a
+    on construction) or a ready SDFG.  The session owns one
+    content-addressed :class:`~repro.passes.store.ResultStore` (a
+    bounded memory LRU, over disk when *cache_dir* is set) shared by
+    every view it opens, one hierarchical
+    :class:`~repro.obs.trace.Tracer` as its only timing record, and a
     :class:`~repro.obs.metrics.MetricsRegistry` counting cache and
     sweep activity.
 
-    Cache entries are keyed by *content* — SDFG name, state label and a
-    per-session generation counter bumped by :meth:`load` — never by
-    ``id()``.  CPython reuses object ids after garbage collection, so an
-    id-keyed cache in a long-lived session that loads a second program
-    can silently serve results computed for the previous one.
+    Store keys are built from *content* — graph fingerprints plus a
+    scope of SDFG name and a per-session generation counter bumped by
+    :meth:`load` — never from ``id()``.  CPython reuses object ids after
+    garbage collection, so an id-keyed cache in a long-lived session
+    that loads a second program can silently serve results computed for
+    the previous one.
 
     With *cache_dir* (or the ``REPRO_CACHE_DIR`` environment variable)
     set, the pass store becomes persistent: results are written through
@@ -205,15 +110,12 @@ class Session:
     def __init__(
         self,
         program_or_sdfg: Program | SDFG,
-        cache_size: int = 32,
         cache_dir: str | os.PathLike | None = None,
         cache_bytes: int | None = None,
     ):
         self._generation = 0
         self._sdfg = self._coerce(program_or_sdfg)
-        self.cache = SimulationCache(maxsize=cache_size)
-        self.timings = StageTimings()
-        self.tracer = Tracer(timings=self.timings)
+        self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
@@ -228,7 +130,7 @@ class Session:
         )
         #: The persistent tier (``None`` when the session is memory-only).
         self.disk: DiskCache | None = None
-        backing = _LRUBacking(max(cache_size * 8, 256))
+        backing = _LRUBacking(MEMORY_ENTRIES)
         if cache_dir is not None:
             self.disk = DiskCache(
                 cache_dir,
@@ -237,9 +139,7 @@ class Session:
                 tracer=self.tracer,
             )
             backing = TieredBacking(backing, self.disk)
-        #: Content-addressed store of pass results, separate from the
-        #: legacy :attr:`cache` so pass-level memoization never skews the
-        #: coarse simulation-cache hit/miss counters.
+        #: Content-addressed store of every pass result of this session.
         self.store = ResultStore(backing=backing)
         self.pipeline = build_pipeline(
             store=self.store, tracer=self.tracer, metrics=self.metrics
@@ -273,7 +173,8 @@ class Session:
         so the bump also invalidates *disk*-cache hits: entries written
         before the load are simply never addressed again (the shared
         directory itself is left untouched — other processes may still
-        be using it).
+        be using it).  The memory tier is emptied, releasing the previous
+        program's products.
         """
         self._sdfg = self._coerce(program_or_sdfg)
         self._generation += 1
@@ -281,7 +182,7 @@ class Session:
         return self._sdfg
 
     def _cache_scope(self) -> tuple:
-        """Stable, content-based key prefix for session cache entries."""
+        """Stable, content-based scope component of the session's keys."""
         return (self._sdfg.name, self._generation)
 
     def global_view(self, state: SDFGState | None = None) -> "GlobalView":
@@ -309,7 +210,7 @@ class Session:
         *capacity_lines* parameterize the cache model (both adjustable
         later via :attr:`LocalView.cache`).  *fast* selects the vectorized
         simulation path (pass False to force the interpreter).  Views
-        share the session's result cache, so revisiting a parameter point
+        share the session's result store, so revisiting a parameter point
         reuses the previous simulation.
         """
         return LocalView(
@@ -320,7 +221,6 @@ class Session:
             capacity_lines=capacity_lines,
             include_transients=include_transients,
             fast=fast,
-            cache=self.cache,
             timings=self.tracer,
             scope=self._cache_scope(),
             pipeline=self.pipeline,
@@ -383,9 +283,9 @@ class Session:
         out over worker processes via the fault-tolerant
         :class:`~repro.analysis.executor.SweepExecutor`; results always
         come back in grid order.  Every successfully evaluated point is
-        memoized in the session cache, so re-sweeping (or sweeping a
-        refined grid) only pays for new points — including after a
-        partial failure, where completed points are never re-run.
+        memoized in the session's result store, so re-sweeping (or
+        sweeping a refined grid) only pays for new points — including
+        after a partial failure, where completed points are never re-run.
 
         *on_error* selects the failure contract:
 
@@ -413,8 +313,8 @@ class Session:
 
         *on_result* is called as ``on_result(index, outcome)`` — with
         *index* in grid order — as each point finishes, including points
-        served from the session or disk cache.  The analysis service
-        streams sweep progress events from this hook.
+        served from the session's store (memory or disk).  The analysis
+        service streams sweep progress events from this hook.
         """
         if on_error not in ("raise", "record"):
             raise ReproError(
@@ -425,45 +325,49 @@ class Session:
         else:
             grid = [dict(point) for point in params_grid]
 
-        def ctx_of(params: Mapping[str, int]) -> PassContext:
-            return self.point_context(
+        # One context and one content key per distinct point: the key
+        # embeds the graph/descriptor fingerprints, so an in-place
+        # transform can never serve a stale point, and a miss evaluates
+        # through the same context its key came from.
+        points = [tuple(sorted(params.items())) for params in grid]
+        contexts = {
+            point: self.point_context(
                 params,
                 line_size=line_size,
                 capacity_lines=capacity_lines,
                 include_transients=include_transients,
                 fast=fast,
             )
+            for point, params in zip(points, grid)
+        }
+        keys = {
+            point: self.pipeline.key("local.point", ctx)
+            for point, ctx in contexts.items()
+        }
 
-        def key_of(params: Mapping[str, int]) -> tuple:
-            # Content-addressed: embeds the graph/descriptor fingerprints,
-            # so an in-place transform can never serve a stale point.
-            return ("sweep", self.pipeline.key("local.point", ctx_of(params)))
+        #: Points evaluated in this process; ``pipeline.run`` stored them.
+        inproc: set[tuple] = set()
 
         def evaluate_inproc(
             sdfg, params, line_size, capacity_lines, include_transients, fast
         ) -> LocalSweepPoint:
-            return self.pipeline.run("local.point", ctx_of(params))
+            point = tuple(sorted(params.items()))
+            inproc.add(point)
+            return self.pipeline.run("local.point", contexts[point])
 
         out: list[LocalSweepPoint | SweepPointError | None] = [None] * len(grid)
         with self.tracer.span("sweep", points=len(grid)):
             missing: list[int] = []
-            for index, params in enumerate(grid):
-                point = self.cache.get(key_of(params))
-                if point is None and self.disk is not None:
-                    # A fresh session over a warm cache directory serves
-                    # the whole grid from disk without spawning a pool.
-                    stored = self.store.get(
-                        self.pipeline.key("local.point", ctx_of(params))
-                    )
-                    if not ResultStore.is_miss(stored):
-                        point = stored
-                        self.cache.put(key_of(params), point)
-                if point is None:
+            for index, point in enumerate(points):
+                # Memory first, then disk: a fresh session over a warm
+                # cache directory serves the grid without spawning a pool.
+                stored = self.store.get(keys[point])
+                if ResultStore.is_miss(stored):
                     missing.append(index)
                 else:
-                    out[index] = point
+                    out[index] = stored
                     if on_result is not None:
-                        on_result(index, point)
+                        on_result(index, stored)
             self.metrics.counter("sweep.cache_hits").inc(len(grid) - len(missing))
             if missing:
                 pool_workers = (
@@ -477,12 +381,7 @@ class Session:
                 if pool_workers is not None and self.disk is not None and not self.disk.disabled:
                     point_fn = DiskCachedPointFn(
                         self.disk.root,
-                        {
-                            tuple(sorted(grid[index].items())): self.pipeline.key(
-                                "local.point", ctx_of(grid[index])
-                            )
-                            for index in missing
-                        },
+                        {points[index]: keys[points[index]] for index in missing},
                         max_bytes=self.disk.max_bytes,
                     )
                 executor = SweepExecutor(
@@ -504,7 +403,7 @@ class Session:
                     forward = lambda sub, outcome: on_result(  # noqa: E731
                         missing[sub], outcome
                     )
-                with maybe_span(self.tracer, "fanout"):
+                with self.tracer.span("fanout"):
                     run = executor.run(
                         self.sdfg,
                         [grid[index] for index in missing],
@@ -515,20 +414,13 @@ class Session:
                         cancel=cancel,
                         on_result=forward,
                     )
-                with maybe_span(self.tracer, "merge"):
+                with self.tracer.span("merge"):
                     for index, outcome in zip(missing, run.outcomes):
-                        if not isinstance(outcome, SweepPointError):
-                            self.cache.put(key_of(grid[index]), outcome)
-                            # Pool-evaluated points enter the pass store
-                            # too, so later pipeline queries reuse them.
-                            self.store.put(
-                                self.pipeline.key(
-                                    "local.point", ctx_of(grid[index])
-                                ),
-                                outcome,
-                            )
+                        point = points[index]
+                        if not isinstance(outcome, SweepPointError) and point not in inproc:
+                            self.store.put(keys[point], outcome)
                         out[index] = outcome
-            self.metrics.gauge("cache.entries").set(len(self.cache))
+            self.metrics.gauge("cache.entries").set(len(self.store))
         if on_error == "record":
             return SweepRun(grid, out)
         for outcome in out:
@@ -631,9 +523,10 @@ class Session:
         """Search transform sequences minimizing modeled data movement.
 
         Runs :class:`~repro.tuning.search.TuningSearch` over the current
-        program through *this session's* pipeline, so candidate scoring
-        shares the pass cache with every interactive query made so far
-        (and vice versa: the winning variant's analyses are warm).
+        program.  Candidates score through the search's own pipeline and
+        store (their keys never overlap an interactive query's), so a
+        search never evicts the session's working set; its spans and
+        counters land in the session's tracer and metrics.
 
         The session's SDFG is never mutated — candidates are copies.  To
         adopt the winner, ``session.load(result.best.sdfg)``.
@@ -651,8 +544,6 @@ class Session:
             fast=fast,
             timeout=timeout,
             workers=workers,
-            pipeline=self.pipeline,
-            scope=self._cache_scope() + ("tune",),
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -668,7 +559,7 @@ class Session:
                 f"analytic locality: {folded} region(s) folded closed-form, "
                 f"{fallbacks} enumerated (fallback)"
             )
-        info = self.cache.info()
+        info = self.store.info()
         lines.append(
             f"simulation cache: {info['entries']}/{info['maxsize']} entries, "
             f"{info['hits']} hits, {info['misses']} misses"
@@ -676,8 +567,8 @@ class Session:
         return "\n".join(lines)
 
     def cache_info(self) -> dict[str, int]:
-        """Hit/miss/occupancy counters of the shared simulation cache."""
-        return self.cache.info()
+        """Hit/miss/occupancy counters of the session's result store."""
+        return self.store.info()
 
     def export_trace(self, path: str) -> None:
         """Write the session's hierarchical span trace as JSON to *path*."""
@@ -881,10 +772,9 @@ class LocalView:
 
     A thin facade: every query resolves through the five chained local
     passes (trace → layout → stack distance → classification → physical
-    movement).  Each pipeline product is additionally memoized in the
-    session's :class:`SimulationCache` under a key that embeds the
-    *content-addressed* pipeline key, so mutating the SDFG makes the
-    next query miss and recompute — no explicit invalidation needed.
+    movement) under *content-addressed* pipeline keys, so mutating the
+    SDFG makes the next query miss and recompute — no explicit
+    invalidation needed.
     """
 
     def __init__(
@@ -896,7 +786,6 @@ class LocalView:
         capacity_lines: int = 512,
         include_transients: bool = False,
         fast: bool = True,
-        cache: SimulationCache | None = None,
         timings=None,
         scope: tuple | None = None,
         pipeline: Pipeline | None = None,
@@ -907,32 +796,16 @@ class LocalView:
         self.cache = CacheModel(line_size=line_size, capacity_lines=capacity_lines)
         self.include_transients = include_transients
         self.fast = fast
-        self.session_cache = cache
         self.timings = timings
-        #: Content-based cache-key prefix.  The session passes its
+        #: Content-based key scope.  The session passes its
         #: ``(sdfg name, generation)`` scope; standalone views derive one
-        #: from the SDFG name alone (they have no shared cache anyway).
+        #: from the SDFG name alone (they own a private pipeline anyway).
         self._scope = scope if scope is not None else (sdfg.name, 0)
         self._pipeline = pipeline if pipeline is not None else build_pipeline()
         self._result: SimulationResult | None = None
         self._memory: MemoryModel | None = None
 
-    # -- shared-cache plumbing ---------------------------------------------------
-    def _sim_key(self) -> tuple:
-        """``(scope, state label, frozen params, config)`` memoization key.
-
-        Deliberately content-based: an ``id()``-based key can alias two
-        different states once CPython recycles the id of a freed one,
-        silently serving a stale simulation for a different program.
-        """
-        return (
-            self._scope,
-            self.state.name,
-            frozenset(self.symbols.items()),
-            self.include_transients,
-            self.fast,
-        )
-
+    # -- pipeline plumbing -------------------------------------------------------
     def _context(self) -> PassContext:
         return PassContext(
             self.sdfg,
@@ -947,23 +820,8 @@ class LocalView:
             metrics=self._pipeline.metrics,
         )
 
-    def _product(self, product: str, ctx: PassContext | None = None) -> Any:
-        """Resolve one pipeline product, memoized in the session cache.
-
-        The session-cache key embeds the pipeline's content key, so a
-        graph mutation changes the key and the stale entry is simply
-        never addressed again.
-        """
-        if ctx is None:
-            ctx = self._context()
-        if self.session_cache is None:
-            return self._pipeline.run(product, ctx)
-        key = ("pass", product, self._sim_key(), self._pipeline.key(product, ctx))
-        value = self.session_cache.get(key)
-        if value is None:
-            value = self._pipeline.run(product, ctx)
-            self.session_cache.put(key, value)
-        return value
+    def _product(self, product: str) -> Any:
+        return self._pipeline.run(product, self._context())
 
     # -- simulation (cached) -----------------------------------------------------
     @property
@@ -998,8 +856,6 @@ class LocalView:
         """
         self._result = None
         self._memory = None
-        if self.session_cache is not None:
-            self.session_cache.clear()
         self._pipeline.store.clear()
 
     # -- access patterns ----------------------------------------------------------

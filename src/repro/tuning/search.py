@@ -9,7 +9,7 @@ The search explores sequences of content-keyed transform matches
 - **dedup** — children are deduplicated by SDFG content fingerprint
   against every variant visited so far, so commuting sequences (permute A
   then B vs. B then A) are explored once;
-- **scoring** — children are evaluated through the *shared* session
+- **scoring** — children are evaluated through the search's own
   pipeline via the fault-tolerant
   :class:`~repro.analysis.executor.SweepExecutor` (parallel across
   candidates when *workers* is set); the objective is modeled physical
@@ -31,13 +31,12 @@ endpoint forwards these as NDJSON lines).
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.executor import CancelToken, SweepExecutor, SweepPointError
 from repro.errors import TransformError, TuningError
 from repro.resilience.deadline import Deadline
-from repro.passes import PassContext, Pipeline, build_pipeline
+from repro.passes import PassContext, ResultStore, build_pipeline
 from repro.sdfg.sdfg import SDFG
 from repro.sdfg.serialize import sdfg_fingerprint
 from repro.transforms.protocol import Match, Transform, resolve_transforms
@@ -48,6 +47,16 @@ __all__ = ["Candidate", "TuningResult", "TuningSearch", "VARIANT_KEY"]
 
 #: Synthetic grid key carrying the candidate index through the executor.
 VARIANT_KEY = "__variant__"
+
+#: Memory-tier entries of a search's private store.  A candidate's
+#: point-chain products key on its full content, which the search never
+#: scores twice, so only logical-keyed products (the simulation trace,
+#: ``global.totals``) are re-read, by layout-only siblings scored next
+#: to each other.  Holding a whole round instead (~256 entries on the
+#: hdiff search) keeps ~35 MB of analytic products alive beside the
+#: caller's store to save ~40 ``global.totals`` re-runs (~0.4 s on a
+#: 2-core machine).
+SEARCH_ENTRIES = 64
 
 
 class Candidate:
@@ -198,11 +207,15 @@ class TuningSearch:
         Overall wall-clock budget in seconds (``None`` disables).
     workers:
         Fan candidate evaluation out over a process pool when > 1; the
-        in-process path (default) scores through the shared pipeline and
-        benefits from cross-candidate pass caching.
-    pipeline:
-        The session's incremental pipeline; a private one is built when
-        absent (standalone use).
+        in-process path (default) scores through the search's pipeline
+        and benefits from cross-candidate pass caching.
+    tracer, metrics:
+        Where the search's spans and counters go (a session passes its
+        own); fresh collectors when absent.
+
+    Every search builds a private pipeline and store: candidate keys
+    never overlap another search's or an interactive query's, so sharing
+    a store would only evict the caller's working set.
     """
 
     def __init__(
@@ -219,8 +232,6 @@ class TuningSearch:
         fast: bool = True,
         timeout: float | None = None,
         workers: int | None = None,
-        pipeline: Pipeline | None = None,
-        scope: tuple = (),
         tracer=None,
         metrics=None,
     ):
@@ -245,20 +256,16 @@ class TuningSearch:
         self.budget = int(budget)
         self.timeout = timeout
         self.workers = workers
-        if pipeline is None:
-            # Standalone use: a private pipeline with its own observability,
-            # so pass-cache hits across candidates are still measurable.
-            from repro.obs import MetricsRegistry, Tracer
+        from repro.obs import MetricsRegistry, Tracer
 
-            metrics = metrics if metrics is not None else MetricsRegistry()
-            tracer = tracer if tracer is not None else Tracer()
-            pipeline = build_pipeline(tracer=tracer, metrics=metrics)
-        self.pipeline = pipeline
-        self.scope = tuple(scope) if scope else (sdfg.name, "tune")
-        self.tracer = tracer if tracer is not None else self.pipeline.tracer
-        self.metrics = (
-            metrics if metrics is not None else self.pipeline.metrics
+        self.tracer = tracer if tracer is not None else Tracer()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.pipeline = build_pipeline(
+            store=ResultStore(maxsize=SEARCH_ENTRIES),
+            tracer=self.tracer,
+            metrics=self.metrics,
         )
+        self.scope = (sdfg.name, "tune")
         self.objective = MovementObjective(
             self.pipeline,
             self.params,
@@ -279,17 +286,10 @@ class TuningSearch:
 
     # -- observability helpers ------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
+        if amount:
             self.metrics.counter(name).inc(amount)
 
-    def _span(self, name: str, **attrs):
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.span(name, **attrs)
-
     def _pass_hits(self) -> int:
-        if self.metrics is None:
-            return 0
         counters = self.metrics.to_dict()["counters"]
         return sum(
             value
@@ -321,7 +321,7 @@ class TuningSearch:
             if on_event is not None:
                 on_event(event)
 
-        with self._span(
+        with self.tracer.span(
             "tune.run", beam=self.beam, depth=self.depth, budget=self.budget
         ):
             baseline = Candidate((), self.sdfg, sdfg_fingerprint(self.sdfg))
@@ -358,7 +358,7 @@ class TuningSearch:
                 if evaluated >= self.budget:
                     stopped = "budget"
                     break
-                with self._span("tune.round", round=round_index):
+                with self.tracer.span("tune.round", round=round_index):
                     stop_at = (
                         budget_at
                         if deadline_at is None
@@ -483,7 +483,7 @@ class TuningSearch:
         """Score *children* via the sweep executor; returns the scored ones.
 
         The executor sees one synthetic grid point per candidate; the
-        in-process path evaluates through the shared pipeline (pass-cache
+        in-process path evaluates through the search's pipeline (pass-cache
         reuse across variants), the pool path ships each variant's
         serialized text to the workers.
         """

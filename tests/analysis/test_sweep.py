@@ -87,20 +87,23 @@ class TestSessionSweep:
     def test_resweep_hits_cache(self, sdfg):
         session = Session(sdfg)
         first = session.sweep(GRID_SPEC, capacity_lines=16)
-        hits_before = session.cache.hits
+        hits_before = session.cache_info()["hits"]
         second = session.sweep(GRID_SPEC, capacity_lines=16)
-        assert session.cache.hits - hits_before == len(first)
+        assert session.cache_info()["hits"] - hits_before == len(first)
         assert all(a is b for a, b in zip(first, second))
 
     def test_refined_grid_only_pays_for_new_points(self, sdfg):
-        session = Session(sdfg, cache_size=64)
+        session = Session(sdfg)
         session.sweep({"I": [3], "J": [3], "K": [2]})
-        misses_before = session.cache.misses
+        served = session.metrics.counter("sweep.cache_hits")
+        served_before = served.value
+        runs_before = session.pipeline.runs("local.point")
         session.sweep({"I": [3, 4], "J": [3], "K": [2]})
-        assert session.cache.misses - misses_before == 1  # only I=4 is new
+        assert served.value - served_before == 1  # I=3 is stored
+        assert session.pipeline.runs("local.point") - runs_before == 1  # only I=4 is new
 
     def test_config_is_part_of_the_key(self, sdfg):
-        session = Session(sdfg, cache_size=64)
+        session = Session(sdfg)
         small = session.sweep({"I": [3], "J": [3], "K": [2]}, capacity_lines=2)
         large = session.sweep({"I": [3], "J": [3], "K": [2]}, capacity_lines=4096)
         assert small[0].total_misses > large[0].total_misses
@@ -108,8 +111,8 @@ class TestSessionSweep:
     def test_fanout_and_merge_timed(self, sdfg):
         session = Session(sdfg)
         session.sweep({"I": [3], "J": [3], "K": [2]})
-        assert session.timings.count("fanout") == 1
-        assert session.timings.count("merge") == 1
+        assert session.tracer.count("fanout") == 1
+        assert session.tracer.count("merge") == 1
 
     @pytest.mark.skipif(
         not os.cpu_count() or os.cpu_count() < 2,
@@ -119,6 +122,17 @@ class TestSessionSweep:
         session = Session(sdfg)
         points = session.sweep(GRID_SPEC, workers=2, capacity_lines=16)
         assert len(points) == 8
+
+    def test_pool_evaluated_points_enter_the_store(self, sdfg):
+        session = Session(sdfg)
+        grid = {"I": [3, 4], "J": [3], "K": [2]}
+        first = session.sweep(grid, workers=2, adaptive=False)
+        assert session.metrics.to_dict()["counters"].get(
+            "pass.local.point.runs", 0
+        ) == 0  # every point ran in a worker
+        second = session.sweep(grid, workers=2, adaptive=False)
+        assert session.metrics.counter("sweep.cache_hits").value == 2
+        assert all(a is b for a, b in zip(first, second))
 
 
 class TestSessionSweepFaultTolerance:
@@ -152,19 +166,22 @@ class TestSessionSweepFaultTolerance:
         points: only the failed point is evaluated again."""
         session = Session(sdfg)
         session.sweep(self.BAD_GRID, on_error="record")
-        misses_before = session.cache.misses
+        served = session.metrics.counter("sweep.cache_hits")
+        served_before = served.value
+        runs_before = session.pipeline.runs("local.point")
         run = session.sweep(self.BAD_GRID, on_error="record")
-        assert session.cache.misses - misses_before == 1  # only the bad point
-        assert run.completed == 2
+        assert served.value - served_before == 2  # both good points
+        assert session.pipeline.runs("local.point") == runs_before
+        assert run.completed == 2 and len(run.errors) == 1  # the bad point re-ran
 
     def test_raise_mode_still_caches_the_good_points(self, sdfg):
         session = Session(sdfg)
         with pytest.raises(AnalysisError):
             session.sweep(self.BAD_GRID)
-        misses_before = session.cache.misses
+        misses_before = session.cache_info()["misses"]
         good = [p for p in self.BAD_GRID if "K" in p]
         points = session.sweep(good)
-        assert session.cache.misses == misses_before  # all served from cache
+        assert session.cache_info()["misses"] == misses_before  # all served from cache
         assert [p.params for p in points] == good
 
     def test_unknown_on_error_mode_rejected(self, sdfg):
@@ -189,8 +206,6 @@ class TestSessionSweepObservability:
         [fanout] = session.tracer.spans("fanout")
         assert fanout.parent_id == sweep_span.span_id
         assert session.tracer.count("sweep.point") == 2
-        # The flat StageTimings mirror keeps working alongside the tree.
-        assert session.timings.count("fanout") == 1
 
     def test_metrics_count_points_and_cache_hits(self, sdfg):
         session = Session(sdfg)

@@ -1,70 +1,16 @@
-"""Tests for the stage-timing collector."""
+"""Tests for the optional stage-span helper."""
 
-import pytest
+from repro.analysis.timing import maybe_span
+from repro.obs import Tracer
 
-from repro.analysis.timing import STAGES, StageTimings, maybe_span
 
-
-class TestStageTimings:
-    def test_add_and_total(self):
-        t = StageTimings()
-        t.add("evaluate", 0.25)
-        t.add("evaluate", 0.75)
-        t.add("layout", 0.5)
-        assert t.total("evaluate") == pytest.approx(1.0)
-        assert t.total() == pytest.approx(1.5)
-        assert t.count("evaluate") == 2
-
-    def test_span_records_elapsed(self):
-        t = StageTimings()
-        with t.span("stackdist"):
-            pass
-        assert t.count("stackdist") == 1
-        assert t.total("stackdist") >= 0.0
-
-    def test_span_records_on_exception(self):
-        t = StageTimings()
-        with pytest.raises(RuntimeError):
-            with t.span("classify"):
-                raise RuntimeError("boom")
-        assert t.count("classify") == 1
-
-    def test_stage_order_canonical_first(self):
-        t = StageTimings()
-        t.add("custom", 1.0)
-        t.add("enumerate", 1.0)
-        t.add("stackdist", 1.0)
-        assert t.stages() == ["enumerate", "stackdist", "custom"]
-        assert list(STAGES) == [
-            "enumerate",
-            "evaluate",
-            "layout",
-            "stackdist",
-            "classify",
-            "fanout",
-            "merge",
-        ]
-
-    def test_rows_and_report(self):
-        t = StageTimings()
-        t.add("evaluate", 0.002)
-        rows = t.rows()
-        assert rows == [("evaluate", 1, pytest.approx(0.002))]
-        assert "evaluate" in t.report()
-        assert StageTimings().report() == "no stages recorded"
-
-    def test_reset(self):
-        t = StageTimings()
-        t.add("layout", 1.0)
-        t.reset()
-        assert t.stages() == [] and t.total() == 0.0
-
+class TestMaybeSpan:
     def test_maybe_span_none_is_noop(self):
         with maybe_span(None, "evaluate"):
             pass  # must not raise
 
     def test_maybe_span_records(self):
-        t = StageTimings()
-        with maybe_span(t, "enumerate"):
+        tracer = Tracer()
+        with maybe_span(tracer, "enumerate"):
             pass
-        assert t.count("enumerate") == 1
+        assert tracer.count("enumerate") == 1

@@ -5,9 +5,8 @@ import threading
 
 import pytest
 
-from repro.analysis.timing import StageTimings, maybe_span
+from repro.analysis.timing import maybe_span
 from repro.obs import NullSpan, Tracer
-from repro.obs.trace import NULL_SPAN
 
 
 class TestSpanRecording:
@@ -60,11 +59,6 @@ class TestSpanRecording:
         [inner] = tracer.spans("inner")
         assert inner.parent_id == outer.span_id
 
-    def test_add_is_stagetimings_compatible(self):
-        tracer = Tracer()
-        tracer.add("layout", 0.25)
-        assert tracer.total("layout") == pytest.approx(0.25)
-
     def test_threads_get_independent_stacks(self):
         tracer = Tracer()
 
@@ -91,34 +85,16 @@ class TestSpanRecording:
         assert tracer.spans() == []
 
 
-class TestStageTimingsInterop:
-    def test_finished_spans_mirror_into_stagetimings(self):
-        timings = StageTimings()
-        tracer = Tracer(timings=timings)
-        with tracer.span("evaluate"):
-            with tracer.span("layout"):
-                pass
-        assert timings.count("evaluate") == 1
-        assert timings.count("layout") == 1
-
-    def test_maybe_span_accepts_tracer_and_stagetimings(self):
+class TestMaybeSpan:
+    def test_maybe_span_accepts_tracer_and_none(self):
         tracer = Tracer()
         with maybe_span(tracer, "stage") as span:
             span.set(marker=1)
         assert tracer.spans("stage")[0].attributes == {"marker": 1}
 
-        timings = StageTimings()
-        with maybe_span(timings, "stage") as span:
-            assert span.set(marker=1) is span  # no-op sink, chainable
-        assert timings.count("stage") == 1
-
         with maybe_span(None, "stage") as span:
             assert isinstance(span, NullSpan)
-
-    def test_stagetimings_span_yields_null_sink(self):
-        timings = StageTimings()
-        with timings.span("classify") as span:
-            assert span is NULL_SPAN
+            assert span.set(marker=1) is span  # no-op sink, chainable
 
 
 class TestExport:

@@ -1,10 +1,12 @@
-"""Tests for the session-level simulation cache and stage timings."""
+"""Tests for the session's result store and span timings."""
 
 from repro.apps import hdiff
 from repro.frontend import pmap, program
+from repro.passes.store import MEMORY_ENTRIES
 from repro.sdfg.dtypes import float64
+from repro.sdfg.serialize import state_fingerprint
 from repro.symbolic import symbols
-from repro.tool.session import Session, SimulationCache
+from repro.tool.session import Session
 
 I, J = symbols("I J")
 
@@ -17,29 +19,11 @@ SIZES = {"I": 3, "J": 3, "K": 2}
 OTHER = {"I": 4, "J": 3, "K": 2}
 
 
-class TestSimulationCache:
-    def test_lru_eviction(self):
-        cache = SimulationCache(maxsize=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1  # refresh "a"
-        cache.put(("c",), 3)  # evicts "b", the least recently used
-        assert ("b",) not in cache
-        assert cache.get(("a",)) == 1 and cache.get(("c",)) == 3
-
-    def test_hit_miss_counters(self):
-        cache = SimulationCache()
-        assert cache.get(("x",)) is None
-        cache.put(("x",), 42)
-        assert cache.get(("x",)) == 42
-        assert cache.info()["hits"] == 1
-        assert cache.info()["misses"] == 1
-
-    def test_bounded(self):
-        cache = SimulationCache(maxsize=3)
-        for n in range(10):
-            cache.put((n,), n)
-        assert len(cache) == 3
+def trace_key_components(session, sizes):
+    """The content components of a local view's ``local.trace`` key."""
+    lv = session.local_view(sizes)
+    _, components, _ = session.pipeline.key("local.trace", lv._context())
+    return dict(components)
 
 
 class TestSessionCaching:
@@ -71,7 +55,7 @@ class TestSessionCaching:
         d2 = lv2._distances()
         assert d2 is d1
 
-    def test_invalidate_clears_shared_cache(self):
+    def test_invalidate_clears_the_store(self):
         session = make_session()
         lv = session.local_view(SIZES)
         first = lv.result
@@ -85,8 +69,7 @@ class TestSessionCaching:
 
         sdfg = hdiff.build_sdfg()
         lv = LocalView(sdfg, SIZES, sdfg.start_state)
-        assert lv.session_cache is None
-        assert lv.result.events  # simulates without a cache attached
+        assert lv.result.events  # simulates through a private pipeline
 
     def test_miss_counts_identical_across_paths(self):
         session = make_session()
@@ -102,16 +85,17 @@ class TestSessionTimings:
         session = make_session()
         lv = session.local_view(SIZES)
         lv.miss_counts()
-        recorded = set(session.timings.stages())
+        recorded = {span.name for span in session.tracer.spans()}
         # The analytic engine serves classification, so the enumeration
         # stage spans (layout/stackdist) are replaced by its own span.
         assert {"enumerate", "evaluate", "locality:analytic", "classify"} <= recorded
-        assert session.timings.total() > 0
+        assert session.tracer.count("locality:analytic") == 1
+        assert session.tracer.total() > 0
 
     def test_report_renders(self):
         session = make_session()
         session.local_view(SIZES).miss_counts()
-        report = session.timings.report()
+        report = session.tracer.report()
         assert "locality:analytic" in report and "ms" in report
 
 
@@ -144,20 +128,21 @@ class TestContentBasedCacheKeys:
 
     KERNEL_SIZES = {"I": 3, "J": 4}
 
-    def test_sim_key_is_content_based(self):
+    def test_trace_key_is_content_based(self):
         session = make_session()
-        key = session.local_view(SIZES)._sim_key()
-        assert key[0] == (session.sdfg.name, 0)  # (scope, ...) prefix
-        assert key[1] == session.sdfg.start_state.name
-        assert id(session.sdfg) not in key
-        assert id(session.sdfg.start_state) not in key
+        components = trace_key_components(session, SIZES)
+        assert components["scope"] == (session.sdfg.name, 0)
+        assert components["state"] == state_fingerprint(session.sdfg.start_state)
+        assert id(session.sdfg) not in components.values()
+        assert id(session.sdfg.start_state) not in components.values()
 
     def test_load_bumps_the_cache_generation(self):
         session = make_session()
-        before = session.local_view(SIZES)._sim_key()
+        before = trace_key_components(session, SIZES)
         session.load(hdiff.build_sdfg())
-        after = session.local_view(SIZES)._sim_key()
-        assert before != after  # same name, same params — new generation
+        after = trace_key_components(session, SIZES)
+        assert before["state"] == after["state"]  # same content...
+        assert before["scope"] != after["scope"]  # ...new generation
 
     def test_reload_never_serves_stale_results(self):
         session = Session(_make_kernel(0))
@@ -176,61 +161,49 @@ class TestContentBasedCacheKeys:
         session = Session(_make_kernel(0))
         v0 = session.sweep([self.KERNEL_SIZES])
         session.load(_make_kernel(1))
-        misses_before = session.cache.misses
+        misses_before = session.cache_info()["misses"]
         v1 = session.sweep([self.KERNEL_SIZES])
-        assert session.cache.misses > misses_before  # not served from cache
+        assert session.cache_info()["misses"] > misses_before  # not served from cache
         assert v1[0].total_accesses != v0[0].total_accesses
 
     def test_sdfg_setter_is_equivalent_to_load(self):
         session = Session(_make_kernel(0))
         session.local_view(self.KERNEL_SIZES).result
         session.sdfg = _make_kernel(1)
-        lv = session.local_view(self.KERNEL_SIZES)
-        assert lv._sim_key()[0] == (session.sdfg.name, 1)
+        scope = trace_key_components(session, self.KERNEL_SIZES)["scope"]
+        assert scope == (session.sdfg.name, 1)
+
+    def test_load_releases_the_previous_programs_products(self):
+        session = Session(_make_kernel(0))
+        session.local_view(self.KERNEL_SIZES).result
+        session.sweep([self.KERNEL_SIZES])
+        assert session.cache_info()["entries"] > 0
+        session.load(_make_kernel(1))
+        assert session.cache_info()["entries"] == 0
 
 
-class TestSimulationCacheByteBudget:
-    def test_byte_bound_evicts_before_count_bound(self):
-        cache = SimulationCache(maxsize=100, max_bytes=400, sizeof=len)
-        for n in range(6):
-            cache.put((n,), "x" * 100)
-        assert len(cache) < 6  # count bound alone would keep all six
-        assert cache.approx_bytes <= 400
-        assert (5,) in cache  # newest survives
+class TestTuningKeepsTheWorkingSet:
+    GRID = {"I": [3, 4], "J": [3, 4], "K": [2]}
 
-    def test_lru_order_respected_by_byte_eviction(self):
-        cache = SimulationCache(maxsize=100, max_bytes=250, sizeof=len)
-        cache.put(("a",), "x" * 100)
-        cache.put(("b",), "x" * 100)
-        cache.get(("a",))  # refresh: "b" is now least recently used
-        cache.put(("c",), "x" * 100)
-        assert ("a",) in cache and ("c",) in cache
-        assert ("b",) not in cache
+    @staticmethod
+    def pass_runs(session):
+        counters = session.metrics.to_dict()["counters"]
+        return sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("pass.") and name.endswith(".runs")
+        )
 
-    def test_overwrite_replaces_size(self):
-        cache = SimulationCache(maxsize=8, max_bytes=10_000, sizeof=len)
-        cache.put(("k",), "x" * 5000)
-        cache.put(("k",), "x" * 10)
-        assert cache.approx_bytes == 10
-
-    def test_info_reports_bytes(self):
-        cache = SimulationCache(maxsize=8, max_bytes=1234, sizeof=len)
-        cache.put(("k",), "x" * 10)
-        info = cache.info()
-        assert info["approx_bytes"] == 10
-        assert info["max_bytes"] == 1234
-
-    def test_unbounded_bytes_by_default(self):
-        cache = SimulationCache(maxsize=3)
-        cache.put(("k",), "x" * 100_000)
-        assert ("k",) in cache
-        assert cache.info()["max_bytes"] == 0  # 0 means "no byte bound"
-
-    def test_sizing_failure_never_breaks_caching(self):
-        def broken(value):
-            raise RuntimeError("sizeof exploded")
-
-        cache = SimulationCache(maxsize=4, max_bytes=100, sizeof=broken)
-        cache.put(("k",), "value")
-        assert cache.get(("k",)) == "value"
-        assert cache.approx_bytes == 0  # unmeasurable counts as zero
+    def test_tune_does_not_evict_swept_points(self):
+        session = make_session()
+        session.sweep(self.GRID)
+        runs_before = self.pass_runs(session)
+        session.tune(SIZES, budget=64)
+        # The search stored more products than the memory tier holds, so
+        # sharing the session's store would have evicted every point.
+        assert self.pass_runs(session) - runs_before > MEMORY_ENTRIES
+        point_runs = session.pipeline.runs("local.point")
+        trace_runs = session.pipeline.runs("local.trace")
+        session.sweep(self.GRID)
+        assert session.pipeline.runs("local.point") == point_runs
+        assert session.pipeline.runs("local.trace") == trace_runs

@@ -1,5 +1,6 @@
 """Tests for the Session facade and the CLI."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -286,6 +287,20 @@ class TestCLIObservability:
         assert "local.trace" in captured
         assert "first run" in captured
         assert "simulation cache:" in captured
+
+    def test_timings_prints_a_per_span_table(self, tmp_path, capsys):
+        module = self.write_module(tmp_path)
+        out = tmp_path / "report.html"
+        rc = cli_main([
+            str(module), "--params", "I=8,J=8", "--local", "I=3,J=4",
+            "-o", str(out), "--timings",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr().out
+        assert "pipeline span timings:" in captured
+        assert re.search(r"^span\s+count\s+total$", captured, re.M)
+        row = re.search(r"^locality:analytic\s+(\d+)\s+(\d+\.\d+)ms$", captured, re.M)
+        assert row and int(row.group(1)) >= 1
 
     def test_failed_sweep_points_are_reported_and_exit_nonzero(
         self, tmp_path, capsys

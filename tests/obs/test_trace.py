@@ -85,6 +85,69 @@ class TestSpanRecording:
         assert tracer.spans() == []
 
 
+class TestAggregation:
+    """The tracer is a session's only timing record, so its flat per-name
+    queries must aggregate like a per-stage collector would."""
+
+    def test_count_and_total_per_name_and_overall(self):
+        tracer = Tracer()
+        tracer.record("evaluate", 0.25)
+        tracer.record("evaluate", 0.75)
+        tracer.record("layout", 0.5)
+        assert tracer.count("evaluate") == 2
+        assert tracer.total("evaluate") == pytest.approx(1.0)
+        assert tracer.total() == pytest.approx(1.5)
+
+    def test_unrecorded_name_is_empty(self):
+        tracer = Tracer()
+        tracer.record("layout", 0.5)
+        assert tracer.count("classify") == 0
+        assert tracer.total("classify") == 0.0
+        assert tracer.spans("classify") == []
+
+    def test_failed_span_counts_toward_totals(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError):
+            with tracer.span("classify"):
+                raise RuntimeError("boom")
+        assert tracer.count("classify") == 1
+        assert tracer.total("classify") >= 0.0
+
+    def test_spans_listed_in_creation_order(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass  # finishes before "outer"
+        tracer.record("after", 0.1)
+        assert [s.name for s in tracer.spans()] == ["outer", "inner", "after"]
+
+    def test_reset_keeps_span_ids_unique(self):
+        tracer = Tracer()
+        with tracer.span("a") as first:
+            pass
+        tracer.reset()
+        with tracer.span("a") as second:
+            pass
+        assert second.span_id != first.span_id
+        assert tracer.spans("a") == [second]
+
+
+class TestReport:
+    def test_empty_tracer_reports_nothing_recorded(self):
+        assert Tracer().report() == "no spans recorded"
+
+    def test_report_indents_children_and_marks_failures(self):
+        tracer = Tracer()
+        with pytest.raises(ValueError):
+            with tracer.span("sweep"):
+                with tracer.span("fanout"):
+                    pass
+                raise ValueError("bad point")
+        lines = tracer.report().splitlines()
+        assert lines[0].startswith("sweep  ") and "[error: ValueError: bad point]" in lines[0]
+        assert lines[1].startswith("  fanout  ") and lines[1].endswith("ms")
+
+
 class TestMaybeSpan:
     def test_maybe_span_accepts_tracer_and_none(self):
         tracer = Tracer()

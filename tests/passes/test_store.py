@@ -6,7 +6,7 @@ in particular the approximate byte accounting that bounds a store whose
 entry count alone would underestimate its footprint.
 """
 
-from repro.passes.store import ResultStore, _LRUBacking
+from repro.passes.store import MEMORY_ENTRIES, ResultStore, _LRUBacking
 
 
 class TestLRUBackingOrder:
@@ -93,6 +93,15 @@ class TestLRUBackingBytes:
 
 
 class TestResultStorePassthrough:
+    def test_default_memory_tier_holds_memory_entries(self):
+        store = ResultStore()
+        assert store.info()["maxsize"] == MEMORY_ENTRIES
+        for n in range(MEMORY_ENTRIES + 5):
+            store.put((n,), n)
+        assert len(store) == MEMORY_ENTRIES
+        assert ResultStore.is_miss(store.get((0,)))  # oldest evicted
+        assert store.get((MEMORY_ENTRIES + 4,)) == MEMORY_ENTRIES + 4
+
     def test_max_bytes_forwarded_to_default_backing(self):
         store = ResultStore(maxsize=64, max_bytes=77)
         assert store.info()["max_bytes"] == 77

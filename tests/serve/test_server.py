@@ -116,6 +116,13 @@ class TestEndpoints:
         assert "serve.v1.local.view.seconds" in payload["histograms"]
         assert "simulation_cache" in payload
 
+    def test_metrics_simulation_cache_reports_the_session_store(self, server):
+        get(server, "/v1/local/view?I=4&J=4&K=2")
+        _, _, body = get(server, "/v1/metrics")
+        reported = json.loads(body)["simulation_cache"]
+        assert reported == server.session.cache_info()
+        assert reported["entries"] > 0 and reported["misses"] > 0
+
 
 class TestETag:
     def test_revalidation_round_trip(self, server):

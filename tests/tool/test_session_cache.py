@@ -64,6 +64,28 @@ class TestSessionCaching:
         # A fresh view must not resurrect the stale entry either.
         assert session.local_view(SIZES).result is lv.result
 
+    def test_views_share_the_one_session_store(self):
+        session = make_session()
+        info = session.cache_info()
+        assert info["maxsize"] == MEMORY_ENTRIES and info["entries"] == 0
+        lv = session.local_view(SIZES)
+        assert lv._pipeline is session.pipeline
+        lv.result
+        entries = session.cache_info()["entries"]
+        assert entries == len(session.store) > 0
+        session.global_view().pipeline.store.get(("absent",))
+        assert session.cache_info()["misses"] > info["misses"]
+
+    def test_pass_report_reads_the_store(self):
+        session = make_session()
+        session.local_view(SIZES).result
+        session.local_view(SIZES).result
+        info = session.cache_info()
+        assert (
+            f"simulation cache: {info['entries']}/{MEMORY_ENTRIES} entries, "
+            f"{info['hits']} hits, {info['misses']} misses"
+        ) in session.pass_report()
+
     def test_standalone_local_view_unaffected(self):
         from repro.tool.session import LocalView
 
@@ -207,3 +229,11 @@ class TestTuningKeepsTheWorkingSet:
         session.sweep(self.GRID)
         assert session.pipeline.runs("local.point") == point_runs
         assert session.pipeline.runs("local.trace") == trace_runs
+
+    def test_tune_leaves_the_session_store_untouched(self):
+        session = make_session()
+        session.local_view(SIZES).result
+        before = session.cache_info()
+        result = session.tune(SIZES, budget=8)
+        assert result.evaluated > 0
+        assert session.cache_info() == before
